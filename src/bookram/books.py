@@ -9,7 +9,6 @@ index first, then lexicographically smallest spine.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .colouring import (
     BookCertificate,
     Colouring,
+    _unpack_rows,
     bits,
     common_pages,
     mono_cliques,
@@ -45,23 +45,12 @@ class BookProfile:
     best: BookCertificate | None
 
 
-def _better(pages: int, colour: int, spine: tuple[int, ...], best) -> bool:
-    """Strict improvement under (pages desc, colour asc, spine lex asc)."""
-    if best is None:
-        return True
-    bpages, bcolour, bspine = best
-    if pages != bpages:
-        return pages > bpages
-    if colour != bcolour:
-        return colour < bcolour
-    return spine < bspine
-
-
 def max_book(col: Colouring, k: int, threads: int = 1) -> BookCertificate | None:
     """Certificate with the maximum page count over all colours and all
     monochromatic k-clique spines, or None when no spine exists at all.
 
-    "No spine" is distinct from a 0-page certificate.
+    "No spine" is distinct from a 0-page certificate.  ``threads`` is
+    accepted for compatibility and has no effect: the search is serial.
     """
     if k < 1:
         raise ValueError("spine size must be at least 1")
@@ -69,8 +58,6 @@ def max_book(col: Colouring, k: int, threads: int = 1) -> BookCertificate | None
         return None
     if k in (2, 3) and col.n >= DENSE_MIN_VERTICES:
         found = _max_book_dense(col, k)
-    elif threads > 1 and col.n >= 32:
-        found = _max_book_parallel(col, k, threads)
     else:
         found = _max_book_bitset(col, k)
     if found is None:
@@ -80,7 +67,7 @@ def max_book(col: Colouring, k: int, threads: int = 1) -> BookCertificate | None
     return BookCertificate(colour, spine, tuple(bits(mask)))
 
 
-def _max_book_bitset(col: Colouring, k: int, first_range=None):
+def _max_book_bitset(col: Colouring, k: int):
     """Clique-extension search; pages are popcounts of the running
     neighbourhood intersection.  Returns (pages, colour, spine) or None."""
     best = None
@@ -108,80 +95,51 @@ def _max_book_bitset(col: Colouring, k: int, first_range=None):
                 )
                 prefix.pop()
 
-        if first_range is None:
-            walk(full, full, k)
-        else:
-            for v in first_range:
-                prefix.append(v)
-                walk(
-                    full & adjc[v] & ~((1 << (v + 1)) - 1),
-                    full & adjc[v],
-                    k - 1,
-                )
-                prefix.pop()
+        walk(full, full, k)
     return best
 
 
-def _chunk_worker(args):
-    col, k, first_range = args
-    return _max_book_bitset(col, k, first_range)
-
-
-def _max_book_parallel(col: Colouring, k: int, threads: int):
-    """Partition the spine search by first spine vertex across processes and
-    merge deterministically in chunk order."""
-    chunk = max(1, -(-col.n // threads))
-    ranges = [range(lo, min(lo + chunk, col.n)) for lo in range(0, col.n, chunk)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(_chunk_worker, [(col, k, r) for r in ranges]))
-    best = None
-    for found in results:
-        if found is not None and _better(found[0], found[1], found[2], best):
-            best = found
-    return best
-
-
-def _dense_matrix(col: Colouring, c: int) -> np.ndarray:
-    rows = np.zeros((col.n, col.n), dtype=np.float32)
-    nbytes = (col.n + 7) // 8
-    for u, mask in enumerate(col.adj[c]):
-        raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-        rows[u] = np.unpackbits(raw, bitorder="little", count=col.n)
-    return rows
+def _best_edge(pages: np.ndarray, edge: np.ndarray):
+    """Largest entry of ``pages`` where ``edge`` is 1, with its row-major
+    first position; the count is -1 when ``edge`` has no 1.  Overwrites
+    ``pages``."""
+    # shifted up by one and zeroed off the edges, so non-edges sit below every edge
+    pages += 1
+    pages *= edge
+    at = int(pages.argmax())
+    return int(pages.flat[at]) - 1, np.unravel_index(at, pages.shape)
 
 
 def _max_book_dense(col: Colouring, k: int):
-    """Matrix path for k in {2, 3}: page counts via exact float32 matmuls.
+    """Matrix path for k in {2, 3}: page counts via exact float32 matmuls
+    (every count is below 2^24).
 
     Tie-breaking matches the bitset path: colours ascending, first row-major
     argmax inside a colour is the lexicographically smallest spine.
     """
     best = None
     for c in range(col.q):
-        a = _dense_matrix(col, c)
+        a = _unpack_rows(col.adj[c], col.n)
         if k == 2:
-            codeg = a @ a
-            masked = np.where(a > 0, codeg, -1.0)
-            m = int(masked.max())
+            a = a.astype(np.float32)
+            m, (u, v) = _best_edge(a @ a, a)
             if m >= 0 and (best is None or m > best[0]):
-                u, v = np.unravel_index(int(masked.argmax()), masked.shape)
                 best = (m, c, (int(u), int(v)))
         else:
             for u in range(col.n - 2):
-                row = a[u]
-                nbrs = np.nonzero(row)[0]
-                cand = nbrs[nbrs > u]
+                nbrs = np.flatnonzero(a[u])
+                first = int(np.searchsorted(nbrs, u))
+                cand = nbrs[first:]
                 if cand.size < 2:
                     continue
                 if best is not None and nbrs.size - 2 <= best[0]:
                     continue  # pages of any triangle through u are <= deg - 2
-                sub = a[np.ix_(cand, nbrs)]
-                pages = sub @ sub.T
-                edge = a[np.ix_(cand, cand)]
-                masked = np.where(edge > 0, pages, -1.0)
-                m = int(masked.max())
+                # rows of the later neighbours, restricted to u's neighbours;
+                # the later neighbours are the last columns, so the edge block
+                # among them is a slice
+                sub = a.take(cand, 0).take(nbrs, 1).astype(np.float32)
+                m, (i, j) = _best_edge(sub @ sub.T, sub[:, first:])
                 if m >= 0 and (best is None or m > best[0]):
-                    i, j = np.unravel_index(int(masked.argmax()), masked.shape)
                     best = (m, c, (u, int(cand[i]), int(cand[j])))
     return best
 

@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bookram",
         description="Monochromatic book statistics and small book Ramsey numbers",
     )
-    parser.add_argument("--threads", type=int, default=None, help="worker cap (or BOOKRAM_THREADS)")
+    parser.add_argument("--threads", type=int, default=None, help="no effect; kept for compatibility")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("book", help="maximum monochromatic book of a colouring")

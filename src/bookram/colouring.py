@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 RED = 0
 BLUE = 1
 
@@ -115,6 +117,34 @@ class Colouring:
                         raise ValueError(f"colour {c} not symmetric at ({u}, {v})")
 
 
+def _pack_rows(matrix: np.ndarray) -> tuple[int, ...]:
+    """Bitmask rows of a 0/1 (or boolean) matrix: bit v of row u is matrix[u, v]."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def _unpack_rows(rows, n: int) -> np.ndarray:
+    """Inverse of ``_pack_rows``: the n x n uint8 0/1 matrix of n bitmask rows."""
+    nbytes = (n + 7) // 8
+    raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(n, nbytes), axis=1, count=n, bitorder="little")
+
+
+def _check_digits(rows: list[str], linenos: list[int], q: int) -> np.ndarray:
+    """Colour digits of the data rows in file order, or FormatError naming the
+    first line holding anything but an ASCII digit below q."""
+    # each non-ASCII character becomes one '?', and everything outside '0'..'9'
+    # wraps to 10 or more, so one comparison checks the whole file
+    digits = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8) - 48
+    if (digits >= q).any():
+        allowed = "0123456789"[:q]
+        for row, lineno in zip(rows, linenos):
+            for ch in row:
+                if ch not in allowed:
+                    raise FormatError(f"bad colour digit {ch!r} for q={q}", lineno)
+    return digits
+
+
 def parse_colouring(text: str) -> Colouring:
     """Parse the KNC format.
 
@@ -123,13 +153,12 @@ def parse_colouring(text: str) -> Colouring:
     starting with ``#`` are comments.
     """
     n = q = None
-    rows_seen = 0
-    rows: list[list[int]] = []
-    header_done = False
+    rows: list[str] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw.startswith("#"):
             continue
-        if not header_done:
+        if n is None:
             parts = raw.split()
             if len(parts) != 4 or parts[0] != "KNC" or parts[1] != "1":
                 raise FormatError("expected header 'KNC 1 <N> <q>'", lineno)
@@ -141,39 +170,47 @@ def parse_colouring(text: str) -> Colouring:
                 raise FormatError(f"vertex count {n} < 1", lineno)
             if not 2 <= q <= 10:
                 raise FormatError(f"colour count {q} outside 2..10", lineno)
-            rows = [[0] * n for _ in range(q)]
-            header_done = True
             continue
-        if rows_seen >= n - 1:
+        # a bad digit on an earlier line is reported before a structural error
+        if len(rows) >= n - 1:
+            _check_digits(rows, linenos, q)
             raise FormatError("unexpected extra data line", lineno)
-        i = rows_seen
+        i = len(rows)
         row = raw.strip()
         if len(row) != n - 1 - i:
+            _check_digits(rows, linenos, q)
             raise FormatError(
                 f"row for vertex {i + 1} has {len(row)} digits, expected {n - 1 - i}",
                 lineno,
             )
-        for j, ch in enumerate(row):
-            if not ch.isdigit() or int(ch) >= q:
-                raise FormatError(f"bad colour digit {ch!r} for q={q}", lineno)
-            c = int(ch)
-            v = i + 1 + j
-            rows[c][i] |= 1 << v
-            rows[c][v] |= 1 << i
-        rows_seen += 1
-    if not header_done:
+        rows.append(row)
+        linenos.append(lineno)
+    if n is None:
         raise FormatError("missing KNC header", 1)
-    if rows_seen != n - 1:
-        raise FormatError(f"expected {n - 1} data rows, found {rows_seen}")
-    return Colouring(n, q, tuple(tuple(r) for r in rows))
+    digits = _check_digits(rows, linenos, q)
+    if len(rows) != n - 1:
+        raise FormatError(f"expected {n - 1} data rows, found {len(rows)}")
+    # the row-major upper triangle is exactly the KNC digit order (and the
+    # transpose's upper triangle the lower one); the diagonal keeps the value
+    # q, which is no colour
+    matrix = np.full((n, n), q, dtype=np.uint8)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    matrix[upper] = digits
+    matrix.T[upper] = digits
+    return Colouring(n, q, tuple(_pack_rows(matrix == c) for c in range(q)))
 
 
 def emit_colouring(col: Colouring) -> str:
-    """Canonical KNC text: no comments, single spaces, LF endings."""
-    out = [f"KNC 1 {col.n} {col.q}"]
-    for i in range(col.n - 1):
-        out.append("".join(str(col.colour_of(i, v)) for v in range(i + 1, col.n)))
-    return "\n".join(out) + "\n"
+    """Canonical KNC text: no comments, single spaces, LF endings.
+
+    Assumes every edge carries exactly one colour (see ``validate``).
+    """
+    text = np.full((col.n, col.n), ord("0"), dtype=np.uint8)
+    for c in range(1, col.q):
+        text += c * _unpack_rows(col.adj[c], col.n)
+    out = [f"KNC 1 {col.n} {col.q}".encode()]
+    out += [text[i, i + 1 :].tobytes() for i in range(col.n - 1)]
+    return (b"\n".join(out) + b"\n").decode("ascii")
 
 
 def mono_cliques(col: Colouring, c: int, k: int):

@@ -18,6 +18,7 @@ from .colouring import (
     BookCertificate,
     Colouring,
     HyperColouring,
+    _pack_rows,
 )
 
 
@@ -43,11 +44,6 @@ def random_colouring(size: int, seed: int) -> Colouring:
     red = np.triu(m ^ 1, 1)
     red = red | red.T
     return Colouring(size, 2, (_pack_rows(red), _pack_rows(blue)))
-
-
-def _pack_rows(matrix: np.ndarray) -> tuple[int, ...]:
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from bookram.colouring import (
     common_pages,
     count_mono_cliques,
 )
-from bookram.constructions import random_colouring
+from bookram.constructions import multicolour_blowup, pentagon_colouring, random_colouring
 
 from conftest import all_one_colour, random_small
 
@@ -78,9 +78,14 @@ class TestMaxBook:
         for k in (2, 3):
             assert _max_book_dense(col, k) == _max_book_bitset(col, k)
 
-    def test_threads_agree_on_three_colours(self):
-        from bookram.constructions import multicolour_blowup, pentagon_colouring
+    def test_dense_equals_bitset_on_three_colours(self):
+        # q = 3 and N = 200: colours 0 and 1 are triangle-free blow-ups of
+        # the pentagon, colour 2 is five disjoint K_40, so ties abound
+        col = multicolour_blowup(pentagon_colouring(), 40)
+        for k in (2, 3):
+            assert _max_book_dense(col, k) == _max_book_bitset(col, k)
 
+    def test_threads_agree_on_three_colours(self):
         col = multicolour_blowup(pentagon_colouring(), 4)
         for k in (1, 2, 3):
             assert max_book(col, k, threads=2) == max_book(col, k, threads=1)
@@ -97,9 +102,29 @@ class TestMaxBook:
 
 
 def pentagon_adj(c):
-    from bookram.constructions import pentagon_colouring
-
     return pentagon_colouring().adj[c]
+
+
+def paley_colouring(q: int) -> Colouring:
+    """Paley colouring of K_q for a prime q = 1 mod 4: red where the
+    difference of the endpoints is a nonzero square mod q."""
+    squares = {x * x % q for x in range(1, q)}
+    return Colouring.from_edge_colours(q, 2, lambda u, v: 0 if (v - u) in squares else 1)
+
+
+class TestPaleyOracle:
+    # Rousseau and Sheehan: every edge of P_q has exactly (q - 5)/4 common
+    # neighbours in its own colour, so that is the maximum k=2 book
+    @pytest.mark.parametrize("q", [101, 1021])
+    def test_max_book_k2_closed_form(self, q):
+        cert = max_book(paley_colouring(q), 2)
+        assert cert.colour == 0
+        assert cert.page_count == (q - 5) // 4
+
+    def test_dense_equals_bitset(self):
+        col = paley_colouring(197)
+        for k in (2, 3):
+            assert _max_book_dense(col, k) == _max_book_bitset(col, k)
 
 
 class TestHasMonoBook:

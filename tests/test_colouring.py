@@ -65,6 +65,8 @@ class TestParseColouring:
             ("KNC 1 3 2\n00\n0\n0\n", 4),
             ("KNC 1 3 2\n02\n0\n", 2),
             ("KNC 1 3 2\n00\n", None),
+            ("KNC 1 2 2\n\u0661\n", 2),  # Arabic-Indic one: a digit, not ASCII
+            ("KNC 1 2 2\n\u00b2\n", 2),  # superscript two: isdigit() but no int()
         ],
     )
     def test_errors_name_lines(self, text, line):
@@ -86,6 +88,25 @@ class TestParseColouring:
         for n, seed, q in cases:
             text = emit_colouring(random_small(n, seed, q))
             assert emit_colouring(parse_colouring(text)) == text
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_with_comments_crlf_and_trailing_spaces(self, data):
+        n = data.draw(st.integers(1, 40))
+        q = data.draw(st.integers(2, 10))
+        rows = [
+            data.draw(st.text("0123456789"[:q], min_size=n - 1 - i, max_size=n - 1 - i))
+            for i in range(n - 1)
+        ]
+        lines = [f"KNC 1 {n} {q}"] + rows
+        text = ""
+        for line in lines:
+            if data.draw(st.booleans()):
+                text += "# " + data.draw(st.text("abc 01", max_size=8)) + "\r\n"
+            text += line + " " * data.draw(st.integers(0, 3)) + "\r\n"
+        col = parse_colouring(text)
+        assert col == Colouring.from_edge_colours(n, q, lambda u, v: int(rows[u][v - u - 1]))
+        assert emit_colouring(col) == "\n".join(lines) + "\n"
 
     def test_validate_rejects_asymmetric(self):
         col = all_one_colour(3)
