@@ -126,22 +126,33 @@ def _max_book_dense(col: Colouring, k: int):
             if m >= 0 and (best is None or m > best[0]):
                 best = (m, c, (int(u), int(v)))
         else:
+            degree = a.sum(1, dtype=np.int64)
             for u in range(col.n - 2):
-                nbrs = np.flatnonzero(a[u])
-                first = int(np.searchsorted(nbrs, u))
-                cand = nbrs[first:]
-                if cand.size < 2:
-                    continue
-                if best is not None and nbrs.size - 2 <= best[0]:
+                if best is not None and degree[u] - 2 <= best[0]:
                     continue  # pages of any triangle through u are <= deg - 2
-                # rows of the later neighbours, restricted to u's neighbours;
-                # the later neighbours are the last columns, so the edge block
-                # among them is a slice
-                sub = a.take(cand, 0).take(nbrs, 1).astype(np.float32)
-                m, (i, j) = _best_edge(sub @ sub.T, sub[:, first:])
+                block = _triangle_block(a, u)
+                if block is None:
+                    continue
+                cand, pages, edge = block
+                m, (i, j) = _best_edge(pages, edge)
                 if m >= 0 and (best is None or m > best[0]):
                     best = (m, c, (u, int(cand[i]), int(cand[j])))
     return best
+
+
+def _triangle_block(a: np.ndarray, u: int):
+    """The triangles of the 0/1 matrix ``a`` whose smallest vertex is u, as
+    (u's later neighbours, float32 page counts of each pair of them, float32
+    0/1 edges among them); None when u has fewer than two later neighbours."""
+    nbrs = np.flatnonzero(a[u])
+    first = int(np.searchsorted(nbrs, u))
+    cand = nbrs[first:]
+    if cand.size < 2:
+        return None
+    # rows of the later neighbours, restricted to u's neighbours; the later
+    # neighbours are the last columns, so the edge block among them is a slice
+    sub = a.take(cand, 0).take(nbrs, 1).astype(np.float32)
+    return cand, sub @ sub.T, sub[:, first:]
 
 
 def has_mono_book(col: Colouring, k: int, n: int) -> bool:
@@ -219,6 +230,20 @@ def local_profile(col: Colouring, k: int) -> BookProfile:
     together with the best certificate (same tie rules as ``max_book``)."""
     if k < 1:
         raise ValueError("spine size must be at least 1")
+    if k in (2, 3) and col.n >= DENSE_MIN_VERTICES:
+        histograms, best = _profile_dense(col, k)
+    else:
+        histograms, best = _profile_enumerate(col, k)
+    cert = None
+    if best is not None:
+        mask = common_pages(col, best[1], best[2])
+        cert = BookCertificate(best[1], best[2], tuple(bits(mask)))
+    return BookProfile(k, tuple(histograms), cert)
+
+
+def _profile_enumerate(col: Colouring, k: int):
+    """Per-colour page histograms and the best (pages, colour, spine), one
+    spine at a time in lexicographic order."""
     histograms: list[dict[int, int]] = []
     best = None
     for c in range(col.q):
@@ -229,11 +254,35 @@ def local_profile(col: Colouring, k: int) -> BookProfile:
             if best is None or pages > best[0]:
                 best = (pages, c, spine)
         histograms.append(hist)
-    cert = None
-    if best is not None:
-        mask = common_pages(col, best[1], best[2])
-        cert = BookCertificate(best[1], best[2], tuple(bits(mask)))
-    return BookProfile(k, tuple(histograms), cert)
+    return histograms, best
+
+
+def _profile_dense(col: Colouring, k: int):
+    """``_profile_enumerate`` for k in {2, 3} from the page matrices of the
+    dense path: a histogram of the upper-triangle edge entries of each, and
+    the first row-major maximum (the lexicographically smallest spine)."""
+    histograms: list[dict[int, int]] = []
+    best = None
+    for c in range(col.q):
+        a = _unpack_rows(col.adj[c], col.n)
+        if k == 2:
+            edge = a.astype(np.float32)
+            blocks = [((), np.arange(col.n), edge @ edge, edge)]
+        else:
+            blocks = (
+                ((u,), *block)
+                for u in range(col.n - 2)
+                if (block := _triangle_block(a, u)) is not None
+            )
+        counts = np.zeros(col.n, dtype=np.int64)
+        for prefix, labels, pages, edge in blocks:
+            upper = np.triu(edge, 1).astype(bool)
+            counts += np.bincount(pages[upper].astype(np.int64), minlength=col.n)
+            m, (i, j) = _best_edge(pages, edge)
+            if m >= 0 and (best is None or m > best[0]):
+                best = (m, c, (*prefix, int(labels[i]), int(labels[j])))
+        histograms.append({int(p): int(counts[p]) for p in np.flatnonzero(counts)})
+    return histograms, best
 
 
 def profile_tsv(profile: BookProfile) -> str:

@@ -124,10 +124,11 @@ def _pack_rows(matrix: np.ndarray) -> tuple[int, ...]:
 
 
 def _unpack_rows(rows, n: int) -> np.ndarray:
-    """Inverse of ``_pack_rows``: the n x n uint8 0/1 matrix of n bitmask rows."""
+    """Inverse of ``_pack_rows``: the uint8 0/1 matrix with one n-column row
+    per bitmask in ``rows`` (any number of them)."""
     nbytes = (n + 7) // 8
     raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(n, nbytes), axis=1, count=n, bitorder="little")
+    return np.unpackbits(raw.reshape(-1, nbytes), axis=1, count=n, bitorder="little")
 
 
 def _check_digits(rows: list[str], linenos: list[int], q: int) -> np.ndarray:

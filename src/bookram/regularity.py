@@ -18,7 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .books import verify_certificate
-from .colouring import BLUE, RED, BookCertificate, Colouring, bits, common_pages, mask_of
+from .colouring import (
+    BLUE,
+    RED,
+    BookCertificate,
+    Colouring,
+    _unpack_rows,
+    bits,
+    common_pages,
+    mask_of,
+)
 
 _FUZZ = 1e-12
 
@@ -38,6 +47,12 @@ def pair_density(col: Colouring, colour: int, a, b) -> float:
     adjc = col.adj[colour]
     hits = sum((adjc[u] & mb).bit_count() for u in a)
     return hits / (len(a) * len(b))
+
+
+def _block(col: Colouring, colour: int, a, b) -> np.ndarray:
+    """uint8 0/1 matrix of the colour's edges, rows a and columns b."""
+    adjc = col.adj[colour]
+    return _unpack_rows([adjc[u] for u in a], col.n).take(b, 1)
 
 
 @dataclass(frozen=True)
@@ -67,7 +82,9 @@ def eps_regular_check(
     Exhaustive mode (|a|, |b| <= 14) scans every qualifying subset of ``a``;
     for each one the extreme sub-densities over subsets of ``b`` are attained
     by the top / bottom vertices by degree, so the verdict is exact and comes
-    with a violating witness pair when irregular.
+    with a violating witness pair when irregular.  Sampled mode draws
+    ``trials`` random subset pairs and counts their edges in the a x b block;
+    a and b are sets of distinct vertices.
     """
     a = tuple(a)
     b = tuple(b)
@@ -102,13 +119,16 @@ def eps_regular_check(
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
+    block = _block(col, colour, a, b)
     for trial in range(trials):
         su = int(rng.integers(qa, len(a) + 1))
         sv = int(rng.integers(qb, len(b) + 1))
-        usub = tuple(sorted(a[i] for i in rng.choice(len(a), su, replace=False)))
-        vsub = tuple(sorted(b[i] for i in rng.choice(len(b), sv, replace=False)))
-        d = pair_density(col, colour, usub, vsub)
+        ia = rng.choice(len(a), su, replace=False)
+        ib = rng.choice(len(b), sv, replace=False)
+        d = int(np.count_nonzero(block.take(ia, 0).take(ib, 1))) / (su * sv)
         if abs(d - base) > eps + _FUZZ:
+            usub = tuple(sorted(a[i] for i in ia))
+            vsub = tuple(sorted(b[i] for i in ib))
             return RegularityVerdict(False, mode, trial + 1, base, (usub, vsub, d))
     return RegularityVerdict(True, mode, trials, base)
 
@@ -128,46 +148,52 @@ def pick_regular_subset(col: Colouring, verts, eta: float, trials: int, seed: in
         return verts
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     rng = np.random.default_rng(base)
+    # candidates as sorted positions into verts (so their vertices are sorted
+    # too), each scored on its square of the class's red block
     candidates = []
     for _ in range(trials):
-        idx = rng.choice(len(verts), size, replace=False)
-        candidates.append(tuple(sorted(verts[i] for i in idx)))
-    candidates.append(verts)
+        candidates.append(np.sort(rng.choice(len(verts), size, replace=False)))
+    candidates.append(np.arange(len(verts)))
+    red = _block(col, RED, verts, verts)
     best = None
-    for ci, cand in enumerate(candidates):
+    for ci, pos in enumerate(candidates):
         score = _self_regularity_score(
-            col, cand, eta, np.random.default_rng(base + [101, ci])
+            red.take(pos, 0).take(pos, 1), eta, np.random.default_rng(base + [101, ci])
         )
         if best is None or score < best[0] - _FUZZ:
-            best = (score, ci, cand)
-    return best[2]
+            best = (score, ci, pos)
+    return tuple(verts[i] for i in best[2])
 
 
-def _loopless_density(col, colour, a, b) -> float | None:
-    """Density over admissible ordered pairs only: overlapping sets do not
-    count the |a ∩ b| excluded diagonal slots in the denominator, so a
-    complete graph scores exactly 1 at any size.  None when no admissible
-    pair exists."""
-    mb = mask_of(b)
-    adjc = col.adj[colour]
-    hits = sum((adjc[u] & mb).bit_count() for u in a)
-    denom = len(a) * len(b) - len(set(a) & set(b))
+def _loopless_density(block: np.ndarray, iu, iv) -> float | None:
+    """Density of the square 0/1 ``block`` between row positions iu and
+    column positions iv (each without repeats) over admissible ordered pairs
+    only: overlapping sets do not count the |iu ∩ iv| excluded diagonal slots
+    in the denominator, so a complete graph scores exactly 1 at any size.
+    None when no admissible pair exists."""
+    hits = int(np.count_nonzero(block.take(iu, 0).take(iv, 1)))
+    in_u = np.zeros(len(block), dtype=bool)
+    in_u[iu] = True
+    denom = len(iu) * len(iv) - int(np.count_nonzero(in_u[iv]))
     return hits / denom if denom else None
 
 
-def _self_regularity_score(col, verts, eta, rng, probes: int = 24) -> float:
-    """Max sampled deviation |d(U', V') - d(W, W)| over random probe pairs,
-    with loopless normalisation; lower is better.  Degenerate probes with no
-    admissible pair are skipped."""
-    base = _loopless_density(col, RED, verts, verts)
-    q = max(1, math.ceil(eta * len(verts) - 1e-9))
+def _self_regularity_score(block: np.ndarray, eta, rng, probes: int = 24) -> float:
+    """Max sampled deviation |d(U', V') - d(W, W)| over random probe pairs of
+    the vertex set W whose red 0/1 matrix is ``block``, with loopless
+    normalisation; lower is better.  Degenerate probes with no admissible
+    pair are skipped."""
+    n = len(block)
+    everyone = np.arange(n)
+    base = _loopless_density(block, everyone, everyone)
+    q = max(1, math.ceil(eta * n - 1e-9))
     worst = 0.0
     for _ in range(probes):
-        su = int(rng.integers(q, len(verts) + 1))
-        sv = int(rng.integers(q, len(verts) + 1))
-        usub = [verts[i] for i in rng.choice(len(verts), su, replace=False)]
-        vsub = [verts[i] for i in rng.choice(len(verts), sv, replace=False)]
-        dens = _loopless_density(col, RED, usub, vsub)
+        su = int(rng.integers(q, n + 1))
+        sv = int(rng.integers(q, n + 1))
+        iu = rng.choice(n, su, replace=False)
+        iv = rng.choice(n, sv, replace=False)
+        dens = _loopless_density(block, iu, iv)
         if dens is not None:
             worst = max(worst, abs(dens - base))
     return worst
@@ -212,24 +238,25 @@ def balanced_swap_search(col: Colouring, m: int, seed: int, steps: int):
     for cl in classes:
         cl.sort()
 
-    patterns: list[list[tuple[int, ...]]] = []
+    # three probe patterns per class: rows of a 0/1 matrix over the positions
+    # in the (sorted) class, which keeps its size under swaps
+    patterns: list[np.ndarray] = []
+    psizes: list[int] = []
     for cl in classes:
-        pats = []
+        pats = np.zeros((3, len(cl)), dtype=np.int64)
         psize = max(1, len(cl) // 2)
-        for _ in range(3):
-            pats.append(tuple(sorted(int(i) for i in rng.choice(len(cl), psize, replace=False))))
+        for row in pats:
+            row[rng.choice(len(cl), psize, replace=False)] = 1
         patterns.append(pats)
-
-    def probe_sets(i: int) -> list[list[int]]:
-        return [[classes[i][p] for p in pat] for pat in patterns[i]]
+        psizes.append(psize)
+    red = _unpack_rows(col.adj[RED], col.n)
 
     def pair_score(i: int, j: int) -> float:
-        base = pair_density(col, RED, classes[i], classes[j])
-        worst = 0.0
-        for pa in probe_sets(i):
-            for pb in probe_sets(j):
-                worst = max(worst, abs(pair_density(col, RED, pa, pb) - base))
-        return worst
+        block = red.take(classes[i], 0).take(classes[j], 1)
+        base = int(np.count_nonzero(block)) / block.size
+        # red edges between every probe set of i and every probe set of j
+        dens = (patterns[i] @ block @ patterns[j].T) / (psizes[i] * psizes[j])
+        return float(np.abs(dens - base).max())
 
     score = {}
     for i in range(m):
@@ -353,24 +380,33 @@ def build_reduced(
         raise ValueError("the reduced-graph pipeline is two-colour only")
     m = partition.m
     classes, subsets = partition.classes, partition.subsets
-    d_vv = [[0.0] * m for _ in range(m)]
-    d_wv = [[0.0] * m for _ in range(m)]
-    d_ww = [[0.0] * m for _ in range(m)]
+    # row i of an indicator is the 0/1 vector of the i-th set, so the
+    # products below count the ordered edge pairs between every two sets
+    in_class = np.zeros((m, col.n), dtype=np.int64)
+    in_subset = np.zeros((m, col.n), dtype=np.int64)
     for i in range(m):
-        for j in range(m):
-            if i == j:
-                d_vv[i][j] = pair_density(col, RED, classes[i], classes[i])
-                d_wv[i][j] = pair_density(col, RED, subsets[i], classes[i])
-                d_ww[i][j] = pair_density(col, RED, subsets[i], subsets[i])
-            else:
-                d_vv[i][j] = pair_density(col, RED, classes[i], classes[j])
-                d_wv[i][j] = pair_density(col, RED, subsets[i], classes[j])
-                d_ww[i][j] = pair_density(col, RED, subsets[i], subsets[j])
+        in_class[i, list(classes[i])] = 1
+        in_subset[i, list(subsets[i])] = 1
+    red = _unpack_rows(col.adj[RED], col.n)
+    blue = _unpack_rows(col.adj[BLUE], col.n)
+    to_class = red @ in_class.T
+    to_subset = red @ in_subset.T
+
+    def densities(rows, hits, cols):
+        return [
+            [int(hits[i, j]) / (len(rows[i]) * len(cols[j])) for j in range(m)]
+            for i in range(m)
+        ]
+
+    d_vv = densities(classes, in_class @ to_class, classes)
+    d_wv = densities(subsets, in_subset @ to_class, classes)
+    d_ww = densities(subsets, in_subset @ to_subset, subsets)
+    blue_hits = ((in_subset @ blue) * in_subset).sum(1)
 
     vcols = []
     for i in range(m):
         red_inside = d_ww[i][i]
-        blue_inside = pair_density(col, BLUE, subsets[i], subsets[i])
+        blue_inside = int(blue_hits[i]) / (len(subsets[i]) * len(subsets[i]))
         vcols.append(RED if red_inside >= blue_inside else BLUE)
 
     states: list[list[int | None]] = [[None] * m for _ in range(m)]

@@ -4,6 +4,7 @@ Criteria 4-7 build deterministic report strings that criterion 8 re-derives
 byte-for-byte.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import hashlib
 import itertools
 import time
 from functools import lru_cache
@@ -293,3 +294,14 @@ def test_criterion_8_determinism_of_reports():
     elapsed = time.perf_counter() - t0
     _report(8, ok, "criteria 4-7 reports byte-identical on re-run", elapsed)
     assert ok
+
+
+# sha256 of the criterion-7 report as the bitmask density loops produced it;
+# the dense regularity densities must keep every draw and float, so the
+# report stays byte-identical
+PIPELINE_REPORT_SHA256 = "0c2eda9125223069ac168d31617d427ad499609123ee85fbc8cba7150caac301"
+
+
+def test_criterion_7_report_digest():
+    digest = hashlib.sha256(_pipeline_report().encode()).hexdigest()
+    assert digest == PIPELINE_REPORT_SHA256

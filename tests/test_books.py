@@ -6,8 +6,11 @@ import random
 import pytest
 
 from bookram.books import (
+    DENSE_MIN_VERTICES,
     _max_book_bitset,
     _max_book_dense,
+    _profile_dense,
+    _profile_enumerate,
     has_mono_book,
     local_profile,
     max_book,
@@ -270,6 +273,24 @@ class TestLocalProfile:
     def test_tsv_rendering(self, pentagon):
         text = profile_tsv(local_profile(pentagon, 1))
         assert text == "colour\t0\n2\t5\ncolour\t1\n2\t5\n"
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_dense_equals_enumeration(self, k):
+        for col in (
+            random_colouring(200, 5),
+            paley_colouring(197),
+            # two red blocks joined in blue, and three colours: heavy ties
+            Colouring.from_edge_colours(200, 2, lambda u, v: 0 if (u < 100) == (v < 100) else 1),
+            multicolour_blowup(pentagon_colouring(), 40),
+        ):
+            assert _profile_dense(col, k) == _profile_enumerate(col, k)
+
+    def test_dispatch_above_threshold_matches(self):
+        col = random_colouring(DENSE_MIN_VERTICES, 6)
+        profile = local_profile(col, 3)  # dense path
+        histograms, best = _profile_enumerate(col, 3)
+        assert profile.histograms == tuple(histograms)
+        assert (profile.best.page_count, profile.best.colour, profile.best.spine) == best
 
 
 class TestInvariants:

@@ -12,7 +12,9 @@ from bookram.colouring import (
     Colouring,
     FormatError,
     HyperColouring,
+    _pack_rows,
     _subset_rank,
+    _unpack_rows,
     bits,
     common_pages,
     count_mono_cliques,
@@ -116,6 +118,21 @@ class TestParseColouring:
         bad = Colouring(3, 2, (tuple(adj[0]), tuple(adj[1])))
         with pytest.raises(ValueError):
             bad.validate()
+
+
+class TestPackRows:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_row_subset_roundtrip(self, data):
+        n = data.draw(st.integers(1, 80))
+        col = random_colouring(n, data.draw(st.integers(0, 10_000)))
+        picked = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        rows = [col.adj[0][u] for u in picked]
+        matrix = _unpack_rows(rows, n)
+        assert matrix.shape == (len(picked), n)
+        for r, u in enumerate(picked):
+            assert list(matrix[r]) == [(col.adj[0][u] >> v) & 1 for v in range(n)]
+        assert _pack_rows(matrix) == tuple(rows)
 
 
 class TestMonoCliques:

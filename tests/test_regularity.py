@@ -6,12 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bookram.books import max_book, verify_certificate
-from bookram.colouring import Colouring, mono_cliques
+from bookram.colouring import BLUE, RED, Colouring, mask_of, mono_cliques
 from bookram.constructions import random_colouring
 from bookram.regularity import (
     EquitablePartition,
+    RegularityVerdict,
+    _self_regularity_score,
     balanced_swap_search,
     build_reduced,
     eps_regular_check,
@@ -38,6 +42,117 @@ def matching_colouring(half: int) -> Colouring:
     return Colouring.from_edge_colours(
         2 * half, 2, lambda u, v: 0 if v - u == half else 1
     )
+
+
+# Reference oracles: the bitmask loops that the dense regularity code
+# replaced, kept to pin the random draws and every float they produce.
+
+
+def reference_sampled_check(col, colour, a, b, eps, trials, seed):
+    """Sampled eps_regular_check, one pair_density per trial."""
+    a, b = tuple(a), tuple(b)
+    base = pair_density(col, colour, a, b)
+    qa = max(1, math.ceil(eps * len(a) - 1e-9))
+    qb = max(1, math.ceil(eps * len(b) - 1e-9))
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        su = int(rng.integers(qa, len(a) + 1))
+        sv = int(rng.integers(qb, len(b) + 1))
+        usub = tuple(sorted(a[i] for i in rng.choice(len(a), su, replace=False)))
+        vsub = tuple(sorted(b[i] for i in rng.choice(len(b), sv, replace=False)))
+        d = pair_density(col, colour, usub, vsub)
+        if abs(d - base) > eps + 1e-12:
+            return RegularityVerdict(False, "sampled", trial + 1, base, (usub, vsub, d))
+    return RegularityVerdict(True, "sampled", trials, base)
+
+
+def reference_loopless_density(col, colour, a, b):
+    mb = mask_of(b)
+    hits = sum((col.adj[colour][u] & mb).bit_count() for u in a)
+    denom = len(a) * len(b) - len(set(a) & set(b))
+    return hits / denom if denom else None
+
+
+def reference_self_score(col, verts, eta, rng, probes=24):
+    """The self-regularity score of a vertex tuple, from bitmask rows."""
+    base = reference_loopless_density(col, RED, verts, verts)
+    q = max(1, math.ceil(eta * len(verts) - 1e-9))
+    worst = 0.0
+    for _ in range(probes):
+        su = int(rng.integers(q, len(verts) + 1))
+        sv = int(rng.integers(q, len(verts) + 1))
+        usub = [verts[i] for i in rng.choice(len(verts), su, replace=False)]
+        vsub = [verts[i] for i in rng.choice(len(verts), sv, replace=False)]
+        dens = reference_loopless_density(col, RED, usub, vsub)
+        if dens is not None:
+            worst = max(worst, abs(dens - base))
+    return worst
+
+
+def reference_swap_search(col, m, seed, steps):
+    """balanced_swap_search with every probe density a pair_density call."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(col.n)
+    classes = [[] for _ in range(m)]
+    for pos, v in enumerate(perm):
+        classes[pos % m].append(int(v))
+    for cl in classes:
+        cl.sort()
+    patterns = []
+    for cl in classes:
+        psize = max(1, len(cl) // 2)
+        patterns.append(
+            [tuple(sorted(int(i) for i in rng.choice(len(cl), psize, replace=False))) for _ in range(3)]
+        )
+
+    def pair_score(i, j):
+        base = pair_density(col, RED, classes[i], classes[j])
+        worst = 0.0
+        for pa in patterns[i]:
+            for pb in patterns[j]:
+                dens = pair_density(col, RED, [classes[i][p] for p in pa], [classes[j][p] for p in pb])
+                worst = max(worst, abs(dens - base))
+        return worst
+
+    score = {(i, j): pair_score(i, j) for i in range(m) for j in range(i + 1, m)}
+    initial = total = sum(score.values())
+    for _ in range(steps if m >= 2 else 0):
+        i, j = (int(x) for x in rng.choice(m, 2, replace=False))
+        u = classes[i][int(rng.integers(len(classes[i])))]
+        v = classes[j][int(rng.integers(len(classes[j])))]
+        for cl, out, into in ((classes[i], u, v), (classes[j], v, u)):
+            cl.remove(out)
+            cl.append(into)
+            cl.sort()
+        new_vals = {key: pair_score(*key) for key in score if i in key or j in key}
+        delta = 0.0
+        for key, nv in new_vals.items():
+            delta += nv - score[key]
+        if delta < -1e-12:
+            score.update(new_vals)
+            total += delta
+        else:
+            for cl, out, into in ((classes[i], v, u), (classes[j], u, v)):
+                cl.remove(out)
+                cl.append(into)
+                cl.sort()
+    return classes, initial, total
+
+
+def red_matrix(col, verts):
+    """0/1 red adjacency among ``verts``, read edge by edge."""
+    return np.array(
+        [[int(u != v and col.colour_of(u, v) == RED) for v in verts] for u in verts],
+        dtype=np.uint8,
+    )
+
+
+def colouring_for(kind: str, n: int, seed: int) -> Colouring:
+    if kind == "matching":
+        return matching_colouring(n // 2)
+    if kind == "two-block":
+        return two_block_colouring(n // 2)
+    return random_small(n, seed)
 
 
 class TestPairDensity:
@@ -128,6 +243,42 @@ class TestEpsRegularCheck:
         with pytest.raises(ValueError):
             eps_regular_check(col, 0, range(20), range(20, 40), 0.1)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sampled_matches_reference(self, data):
+        kind = data.draw(st.sampled_from(["random", "matching", "two-block"]))
+        n = data.draw(st.integers(4, 48).map(lambda x: x - x % 2))
+        col = colouring_for(kind, n, data.draw(st.integers(0, 10_000)))
+        a = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        b = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        colour = data.draw(st.sampled_from([RED, BLUE]))
+        eps = data.draw(st.floats(0.01, 0.6))
+        trials = data.draw(st.integers(1, 300))
+        seed = data.draw(st.one_of(st.integers(0, 2**32), st.lists(st.integers(0, 9999), max_size=4)))
+        got = eps_regular_check(col, colour, a, b, eps, mode="sampled", trials=trials, seed=seed)
+        want = reference_sampled_check(col, colour, a, b, eps, trials, seed)
+        # repr also pins the Python types of the witness
+        assert repr(got) == repr(want)
+
+    def test_sampled_matches_reference_on_irregular_pairs(self):
+        # the matching and two-block pairs fail in some trial, so the
+        # witnesses and trial counts are compared, not just "regular"
+        irregular = 0
+        for col, a, b in (
+            (matching_colouring(12), range(12), range(12, 24)),
+            (two_block_colouring(12), range(6, 18), range(24)),
+        ):
+            for colour in (RED, BLUE):
+                for eps in (0.05, 0.1, 0.2):
+                    for seed in range(5):
+                        got = eps_regular_check(
+                            col, colour, a, b, eps, mode="sampled", trials=200, seed=seed
+                        )
+                        want = reference_sampled_check(col, colour, a, b, eps, 200, seed)
+                        assert repr(got) == repr(want)
+                        irregular += not got.regular
+        assert irregular >= 30
+
 
 class TestPickRegularSubset:
     def test_two_vertex_class_is_itself(self):
@@ -156,7 +307,7 @@ class TestPickRegularSubset:
         ]
         cands.append(verts)
         scores = [
-            _self_regularity_score(col, c, 0.25, np.random.default_rng([8, 101, ci]))
+            reference_self_score(col, c, 0.25, np.random.default_rng([8, 101, ci]))
             for ci, c in enumerate(cands)
         ]
         chosen = min(
@@ -164,6 +315,51 @@ class TestPickRegularSubset:
         )
         assert chosen is not None
         assert chosen <= sorted(scores)[len(scores) // 2]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_self_score_matches_reference(self, data):
+        kind = data.draw(st.sampled_from(["random", "matching", "two-block"]))
+        n = data.draw(st.integers(4, 48).map(lambda x: x - x % 2))
+        col = colouring_for(kind, n, data.draw(st.integers(0, 10_000)))
+        verts = tuple(
+            sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))
+        )
+        eta = data.draw(st.floats(0.01, 0.6))
+        seed = data.draw(st.integers(0, 2**32))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _self_regularity_score(red_matrix(col, verts), eta, got_rng)
+        want = reference_self_score(col, verts, eta, want_rng)
+        assert repr(got) == repr(want)
+        # the same draws were consumed
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_pick_matches_reference_scores(self, data):
+        n = data.draw(st.integers(6, 48))
+        col = random_small(n, data.draw(st.integers(0, 10_000)))
+        verts = tuple(
+            data.draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=n, unique=True))
+        )
+        eta = data.draw(st.floats(0.01, 0.6))
+        trials = data.draw(st.integers(1, 12))
+        seed = data.draw(st.integers(0, 2**32))
+        # today's candidate order and scores, from the bitmask oracle
+        ordered = tuple(sorted(verts))
+        size = max(2, (len(ordered) + 1) // 2)
+        rng = np.random.default_rng([seed])
+        cands = [
+            tuple(sorted(ordered[i] for i in rng.choice(len(ordered), size, replace=False)))
+            for _ in range(trials)
+        ]
+        cands.append(ordered)
+        best = None
+        for ci, cand in enumerate(cands):
+            score = reference_self_score(col, cand, eta, np.random.default_rng([seed, 101, ci]))
+            if best is None or score < best[0] - 1e-12:
+                best = (score, cand)
+        assert pick_regular_subset(col, verts, eta, trials, seed=seed) == best[1]
 
 
 class TestMakePartition:
@@ -185,6 +381,18 @@ class TestMakePartition:
         sizes = [len(c) for c in part.classes]
         assert max(sizes) - min(sizes) <= 1
         assert sorted(v for c in part.classes for v in c) == list(range(30))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_swap_search_matches_reference(self, data):
+        # class sizes may differ by one, so probe sets of unequal size meet
+        n = data.draw(st.integers(2, 48))
+        col = random_small(n, data.draw(st.integers(0, 10_000)))
+        m = data.draw(st.integers(1, min(8, n)))
+        seed = data.draw(st.integers(0, 10_000))
+        steps = data.draw(st.integers(0, 30))
+        got = balanced_swap_search(col, m, seed, steps)
+        assert repr(got) == repr(reference_swap_search(col, m, seed, steps))
 
     def test_local_search_is_monotone(self):
         col = random_colouring(128, 6)
@@ -220,15 +428,28 @@ class TestBuildReduced:
         red = build_reduced(col, part, eta=0.05, delta=0.1, seed=13)
         for i in range(8):
             for j in range(8):
-                assert red.d_vv[i][j] == pytest.approx(
-                    pair_density(col, 0, part.classes[i], part.classes[j])
-                )
-                assert red.d_wv[i][j] == pytest.approx(
-                    pair_density(col, 0, part.subsets[i], part.classes[j])
-                )
-                assert red.d_ww[i][j] == pytest.approx(
-                    pair_density(col, 0, part.subsets[i], part.subsets[j])
-                )
+                assert red.d_vv[i][j] == pair_density(col, 0, part.classes[i], part.classes[j])
+                assert red.d_wv[i][j] == pair_density(col, 0, part.subsets[i], part.classes[j])
+                assert red.d_ww[i][j] == pair_density(col, 0, part.subsets[i], part.subsets[j])
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_density_tables_equal_pair_density(self, data):
+        n = data.draw(st.integers(2, 48))
+        col = random_small(n, data.draw(st.integers(0, 10_000)))
+        m = data.draw(st.integers(1, min(8, n)))
+        seed = data.draw(st.integers(0, 10_000))
+        part = make_partition(col, m, seed=seed, steps=data.draw(st.integers(0, 20)), eta=0.3)
+        red = build_reduced(col, part, eta=0.3, delta=0.3, seed=seed)
+        classes, subsets = part.classes, part.subsets
+        for i in range(m):
+            for j in range(m):
+                assert red.d_vv[i][j] == pair_density(col, RED, classes[i], classes[j])
+                assert red.d_wv[i][j] == pair_density(col, RED, subsets[i], classes[j])
+                assert red.d_ww[i][j] == pair_density(col, RED, subsets[i], subsets[j])
+            blue_inside = pair_density(col, BLUE, subsets[i], subsets[i])
+            want = RED if red.d_ww[i][i] >= blue_inside else BLUE
+            assert red.vertex_colours[i] == want
 
     def test_invariants_audited(self):
         col = random_colouring(128, 14)
