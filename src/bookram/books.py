@@ -22,7 +22,8 @@ from .colouring import (
     mono_cliques,
 )
 
-#: Above this vertex count, k in {2, 3} uses the dense matrix path.
+#: From this vertex count on, ``max_book`` uses the dense matrix path for k
+#: in {2, 3}; below it, the pruning bitset search.
 DENSE_MIN_VERTICES = 192
 
 
@@ -120,39 +121,42 @@ def _max_book_dense(col: Colouring, k: int):
     best = None
     for c in range(col.q):
         a = _unpack_rows(col.adj[c], col.n)
-        if k == 2:
-            a = a.astype(np.float32)
-            m, (u, v) = _best_edge(a @ a, a)
+        degree = a.sum(1, dtype=np.int64)
+
+        def beaten(u: int) -> bool:
+            # pages of any triangle through u are <= deg - 2
+            return best is not None and degree[u] - 2 <= best[0]
+
+        for prefix, labels, pages, edge in _spine_blocks(a, k, beaten):
+            m, (i, j) = _best_edge(pages, edge)
             if m >= 0 and (best is None or m > best[0]):
-                best = (m, c, (int(u), int(v)))
-        else:
-            degree = a.sum(1, dtype=np.int64)
-            for u in range(col.n - 2):
-                if best is not None and degree[u] - 2 <= best[0]:
-                    continue  # pages of any triangle through u are <= deg - 2
-                block = _triangle_block(a, u)
-                if block is None:
-                    continue
-                cand, pages, edge = block
-                m, (i, j) = _best_edge(pages, edge)
-                if m >= 0 and (best is None or m > best[0]):
-                    best = (m, c, (u, int(cand[i]), int(cand[j])))
+                best = (m, c, (*prefix, int(labels[i]), int(labels[j])))
     return best
 
 
-def _triangle_block(a: np.ndarray, u: int):
-    """The triangles of the 0/1 matrix ``a`` whose smallest vertex is u, as
-    (u's later neighbours, float32 page counts of each pair of them, float32
-    0/1 edges among them); None when u has fewer than two later neighbours."""
-    nbrs = np.flatnonzero(a[u])
-    first = int(np.searchsorted(nbrs, u))
-    cand = nbrs[first:]
-    if cand.size < 2:
-        return None
-    # rows of the later neighbours, restricted to u's neighbours; the later
-    # neighbours are the last columns, so the edge block among them is a slice
-    sub = a.take(cand, 0).take(nbrs, 1).astype(np.float32)
-    return cand, sub @ sub.T, sub[:, first:]
+def _spine_blocks(a: np.ndarray, k: int, skip=None):
+    """The size-k spines (k in {2, 3}) of the 0/1 matrix ``a`` as blocks
+    (prefix, labels, pages, edge): each 1 at ``edge[i, j]`` is the spine
+    ``prefix + (labels[i], labels[j])`` with ``pages[i, j]`` pages, both
+    float32.  For k=3 there is one block per smallest spine vertex u, in
+    ascending order, left out when it has fewer than two later neighbours or
+    ``skip(u)`` holds; ``skip`` is asked only as each block is reached."""
+    if k == 2:
+        edge = a.astype(np.float32)
+        yield (), np.arange(len(a)), edge @ edge, edge
+        return
+    for u in range(len(a) - 2):
+        if skip is not None and skip(u):
+            continue
+        nbrs = np.flatnonzero(a[u])
+        first = int(np.searchsorted(nbrs, u))
+        cand = nbrs[first:]
+        if cand.size < 2:
+            continue
+        # rows of the later neighbours, restricted to u's neighbours; the later
+        # neighbours are the last columns, so the edge block among them is a slice
+        sub = a.take(cand, 0).take(nbrs, 1).astype(np.float32)
+        yield (u,), cand, sub @ sub.T, sub[:, first:]
 
 
 def has_mono_book(col: Colouring, k: int, n: int) -> bool:
@@ -230,7 +234,7 @@ def local_profile(col: Colouring, k: int) -> BookProfile:
     together with the best certificate (same tie rules as ``max_book``)."""
     if k < 1:
         raise ValueError("spine size must be at least 1")
-    if k in (2, 3) and col.n >= DENSE_MIN_VERTICES:
+    if k in (2, 3):
         histograms, best = _profile_dense(col, k)
     else:
         histograms, best = _profile_enumerate(col, k)
@@ -258,24 +262,15 @@ def _profile_enumerate(col: Colouring, k: int):
 
 
 def _profile_dense(col: Colouring, k: int):
-    """``_profile_enumerate`` for k in {2, 3} from the page matrices of the
-    dense path: a histogram of the upper-triangle edge entries of each, and
-    the first row-major maximum (the lexicographically smallest spine)."""
+    """``_profile_enumerate`` for k in {2, 3} from the page matrices of
+    ``_spine_blocks``: a histogram of the upper-triangle edge entries of
+    each, and the first row-major maximum (the lexicographically smallest
+    spine)."""
     histograms: list[dict[int, int]] = []
     best = None
     for c in range(col.q):
-        a = _unpack_rows(col.adj[c], col.n)
-        if k == 2:
-            edge = a.astype(np.float32)
-            blocks = [((), np.arange(col.n), edge @ edge, edge)]
-        else:
-            blocks = (
-                ((u,), *block)
-                for u in range(col.n - 2)
-                if (block := _triangle_block(a, u)) is not None
-            )
         counts = np.zeros(col.n, dtype=np.int64)
-        for prefix, labels, pages, edge in blocks:
+        for prefix, labels, pages, edge in _spine_blocks(_unpack_rows(col.adj[c], col.n), k):
             upper = np.triu(edge, 1).astype(bool)
             counts += np.bincount(pages[upper].astype(np.int64), minlength=col.n)
             m, (i, j) = _best_edge(pages, edge)

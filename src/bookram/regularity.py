@@ -388,7 +388,6 @@ def build_reduced(
         in_class[i, list(classes[i])] = 1
         in_subset[i, list(subsets[i])] = 1
     red = _unpack_rows(col.adj[RED], col.n)
-    blue = _unpack_rows(col.adj[BLUE], col.n)
     to_class = red @ in_class.T
     to_subset = red @ in_subset.T
 
@@ -398,15 +397,18 @@ def build_reduced(
             for i in range(m)
         ]
 
+    subset_hits = in_subset @ to_subset
     d_vv = densities(classes, in_class @ to_class, classes)
     d_wv = densities(subsets, in_subset @ to_class, classes)
-    d_ww = densities(subsets, in_subset @ to_subset, subsets)
-    blue_hits = ((in_subset @ blue) * in_subset).sum(1)
+    d_ww = densities(subsets, subset_hits, subsets)
 
     vcols = []
     for i in range(m):
         red_inside = d_ww[i][i]
-        blue_inside = int(blue_hits[i]) / (len(subsets[i]) * len(subsets[i]))
+        # every edge is red or blue, so the blue ordered pairs inside W_i are
+        # the size(size - 1) off-diagonal pairs less the red ones
+        size = len(subsets[i])
+        blue_inside = (size * (size - 1) - int(subset_hits[i, i])) / (size * size)
         vcols.append(RED if red_inside >= blue_inside else BLUE)
 
     states: list[list[int | None]] = [[None] * m for _ in range(m)]

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from bookram.books import (
-    DENSE_MIN_VERTICES,
     _max_book_bitset,
     _max_book_dense,
     _profile_dense,
@@ -284,13 +283,6 @@ class TestLocalProfile:
             multicolour_blowup(pentagon_colouring(), 40),
         ):
             assert _profile_dense(col, k) == _profile_enumerate(col, k)
-
-    def test_dispatch_above_threshold_matches(self):
-        col = random_colouring(DENSE_MIN_VERTICES, 6)
-        profile = local_profile(col, 3)  # dense path
-        histograms, best = _profile_enumerate(col, 3)
-        assert profile.histograms == tuple(histograms)
-        assert (profile.best.page_count, profile.best.colour, profile.best.spine) == best
 
 
 class TestInvariants:
