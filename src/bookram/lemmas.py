@@ -69,14 +69,14 @@ def elementary_symmetric(x, k: int) -> float:
 
 
 def _elementary_symmetric_arr(x: np.ndarray, k: int) -> np.ndarray:
-    rows = x.shape[0]
-    e = np.zeros((rows, k + 1), dtype=np.float64)
-    e[:, 0] = 1.0
-    for j in range(x.shape[1]):
-        col = x[:, j]
+    # e[d] is e_d over the coordinates seen so far, one row per degree so
+    # every update runs over contiguous memory
+    e = np.zeros((k + 1, x.shape[0]), dtype=np.float64)
+    e[0] = 1.0
+    for col in np.ascontiguousarray(x.T):
         for d in range(k, 0, -1):
-            e[:, d] += e[:, d - 1] * col
-    return e[:, k]
+            e[d] += e[d - 1] * col
+    return e[k]
 
 
 @dataclass(frozen=True)

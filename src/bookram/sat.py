@@ -14,9 +14,12 @@ from __future__ import annotations
 import itertools
 from math import comb
 
+import numpy as np
+
 from .colouring import BLUE, Colouring
 
 DEFAULT_CLAUSE_CAP = 2_000_000
+_CHUNK_LITERALS = 1 << 20  # literals formatted per pass of sat_export
 
 
 class CnfSizeError(ValueError):
@@ -76,6 +79,42 @@ def _counter_clause_count(t: int, bound: int) -> int:
     return bound + (t - 2) * (2 * bound + 1) + 1
 
 
+def _block_template(k: int, n: int, size: int):
+    """The clauses of one (spine, colour) block, which all share one shape.
+
+    Literals are signed local variables.  The first C(k, 2) + pages * k
+    stand for the colour's edge literals (the spine edges in
+    ``combinations`` order, then page p's edge to spine vertex i); the rest
+    are the block's new variables: the mono-spine indicator, the page
+    indicators, then the counter registers.  Returns (clauses, number of
+    edge columns, number of new variables).
+    """
+    pages = size - k
+    spine_cols = comb(k, 2)
+    cols = spine_cols + pages * k
+    mono = cols + 1
+    clauses: list[tuple[int, ...]] = []
+
+    def implies(var: int, lits: range) -> None:
+        clauses.extend((-var, lit) for lit in lits)
+        clauses.append((var, *[-lit for lit in lits]))
+
+    implies(mono, range(1, spine_cols + 1))
+    page_vars = list(range(mono + 1, mono + 1 + pages))
+    for p, var in enumerate(page_vars):
+        first = spine_cols + p * k + 1
+        implies(var, range(first, first + k))
+    next_var = mono + 1 + pages
+    bound = n - 1
+    if pages > bound:
+        if bound == 0:
+            clauses.extend((-mono, -p) for p in page_vars)
+        else:
+            extra, next_var = _sequential_counter_clauses(mono, page_vars, bound, next_var)
+            clauses.extend(extra)
+    return clauses, cols, next_var - mono
+
+
 def estimate_clauses(k: int, n: int, size: int) -> int:
     """Closed-form clause count of ``sat_export(k, n, size)``."""
     pages = size - k
@@ -92,43 +131,7 @@ def sat_export(k: int, n: int, size: int, clause_cap: int = DEFAULT_CLAUSE_CAP) 
     if estimate > clause_cap:
         raise CnfSizeError(estimate, clause_cap)
     evar = edge_index(size)
-    next_var = len(evar) + 1
-    clauses: list[tuple[int, ...]] = []
-
-    def edge_lit(u: int, v: int, colour: int) -> int:
-        var = evar[(u, v) if u < v else (v, u)]
-        return var if colour == BLUE else -var
-
-    for spine in itertools.combinations(range(size), k):
-        for colour in (0, 1):
-            lits = [edge_lit(u, v, colour) for u, v in itertools.combinations(spine, 2)]
-            mono = next_var
-            next_var += 1
-            for lit in lits:
-                clauses.append((-mono, lit))
-            clauses.append((mono, *[-lit for lit in lits]))
-            page_vars = []
-            spine_set = set(spine)
-            for v in range(size):
-                if v in spine_set:
-                    continue
-                p = next_var
-                next_var += 1
-                page_vars.append(p)
-                plits = [edge_lit(v, u, colour) for u in spine]
-                for lit in plits:
-                    clauses.append((-p, lit))
-                clauses.append((p, *[-lit for lit in plits]))
-            bound = n - 1
-            if len(page_vars) <= bound:
-                continue
-            if bound == 0:
-                for p in page_vars:
-                    clauses.append((-mono, -p))
-            else:
-                extra, next_var = _sequential_counter_clauses(mono, page_vars, bound, next_var)
-                clauses.extend(extra)
-
+    edges = len(evar)
     out = [
         f"c book-avoidance instance: K_{size}, spine K_{k}, forbid {n} pages",
         "c edge variable true = blue, false = red",
@@ -136,10 +139,44 @@ def sat_export(k: int, n: int, size: int, clause_cap: int = DEFAULT_CLAUSE_CAP) 
     ]
     for (u, v), t in evar.items():
         out.append(f"c edge {u + 1} {v + 1} -> var {t}")
-    out.append(f"p cnf {next_var - 1} {len(clauses)}")
-    for cl in clauses:
-        out.append(" ".join(str(l) for l in cl) + " 0")
-    return "\n".join(out) + "\n"
+    if k > size:
+        out.append(f"p cnf {edges} 0")
+        return "\n".join(out) + "\n"
+
+    clauses, cols, nv = _block_template(k, n, size)
+    spines = np.array(list(itertools.combinations(range(size), k)), dtype=np.int64)
+    blocks = 2 * spines.shape[0]
+    out.append(f"p cnf {edges + blocks * nv} {blocks * len(clauses)}")
+
+    # edge variable of every edge column, one row per spine
+    evmat = np.zeros((size, size), dtype=np.int64)
+    evmat[np.triu_indices(size, 1)] = np.arange(1, edges + 1)
+    evmat += evmat.T
+    outside = np.ones((spines.shape[0], size), dtype=bool)
+    outside[np.arange(spines.shape[0])[:, None], spines] = False
+    page_vertices = np.nonzero(outside)[1].reshape(spines.shape[0], size - k)
+    pairs = list(itertools.combinations(range(k), 2))
+    columns = np.hstack(
+        [evmat[spines[:, [a for a, _ in pairs]], spines[:, [b for _, b in pairs]]]]
+        + [evmat[page_vertices[:, :, None], spines[:, None, :]].reshape(spines.shape[0], -1)]
+    )
+
+    lits = np.array([lit for cl in clauses for lit in cl], dtype=np.int64)
+    slots, signs = np.abs(lits), np.sign(lits)
+    fmt = "".join("%d " * len(cl) + "0\n" for cl in clauses)
+    body = ["\n".join(out) + "\n"]
+    chunk = max(1, _CHUNK_LITERALS // lits.size)
+    for lo in range(0, blocks, chunk):
+        # block b is (spine b // 2, colour b % 2); red negates edge literals.
+        # Row b maps each local variable to its signed global literal
+        # (column 0 is unused, local variables start at 1).
+        b = np.arange(lo, min(blocks, lo + chunk))
+        local = np.empty((b.size, 1 + cols + nv), dtype=np.int64)
+        local[:, 1 : 1 + cols] = columns[b // 2] * np.where(b % 2 == BLUE, 1, -1)[:, None]
+        local[:, 1 + cols :] = edges + b[:, None] * nv + np.arange(1, nv + 1)
+        vals = local[:, slots] * signs
+        body.append((fmt * b.size) % tuple(vals.ravel().tolist()))
+    return "".join(body)
 
 
 def parse_edge_map(cnf_text: str) -> tuple[int, dict[int, tuple[int, int]]]:

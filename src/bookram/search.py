@@ -144,26 +144,37 @@ def find_witness(
         if deadline is not None and nodes % 1024 == 0 and time.perf_counter() > deadline:
             raise _BudgetExhausted
 
-    def dfs(idx: int) -> bool:
-        if idx == len(edges):
-            return True
-        u, v = edges[idx]
-        if symmetry and u == 0 and v >= 2:
-            top = (adj[1][0] >> (v - 1)) & 1  # colour of edge (0, v-1)
-        else:
-            top = 1
-        for c in range(top + 1):
-            tick()
-            adj[c][u] |= 1 << v
-            adj[c][v] |= 1 << u
-            if not _creates_book(adj, u, v, c, k, n) and dfs(idx + 1):
-                return True
+    def dfs() -> bool:
+        """Depth-first over the edges in order, colour 0 before colour 1,
+        on an explicit stack of (edge index, colour) per coloured edge."""
+        stack: list[tuple[int, int]] = []
+        idx, c = 0, 0
+        while idx < len(edges):
+            u, v = edges[idx]
+            if symmetry and u == 0 and v >= 2:
+                top = (adj[1][0] >> (v - 1)) & 1  # colour of edge (0, v-1)
+            else:
+                top = 1
+            if c <= top:
+                tick()
+                adj[c][u] |= 1 << v
+                adj[c][v] |= 1 << u
+                if not _creates_book(adj, u, v, c, k, n):
+                    stack.append((idx, c))
+                    idx, c = idx + 1, 0
+                    continue
+            elif stack:
+                idx, c = stack.pop()
+                u, v = edges[idx]
+            else:
+                return False
             adj[c][u] &= ~(1 << v)
             adj[c][v] &= ~(1 << u)
-        return False
+            c += 1
+        return True
 
     try:
-        ok = dfs(0)
+        ok = dfs()
     except _BudgetExhausted:
         return WitnessResult(INCONCLUSIVE, None, nodes, time.perf_counter() - start)
     elapsed = time.perf_counter() - start

@@ -71,6 +71,22 @@ class TestSearchCommand:
         assert code == EXIT_INCONCLUSIVE
         assert "bounded" in text
 
+    def test_budgeted_star_search_brackets_r79(self, tmp_path):
+        # r(B_40^(1)) = 79; the search passes 46 vertices (1,035 edges, more
+        # than Python's default recursion limit) before its budget runs out
+        witness = tmp_path / "w.knc"
+        code, text = run(["search", "--k", "1", "--n", "40", "--max-nodes", "200000",
+                          "--witness", str(witness)])
+        assert code == EXIT_INCONCLUSIVE
+        lines = dict(l.split("\t") for l in text.splitlines())
+        assert lines["status"] == "bounded"
+        assert 46 < int(lines["lower"]) < 79
+        assert lines["upper"] == "?"
+        col = parse_colouring(witness.read_text())
+        assert col.n == int(lines["lower"])
+        # a 40-page star is a vertex of monochromatic degree 40
+        assert all(col.adj[c][v].bit_count() < 40 for c in (0, 1) for v in range(col.n))
+
     def test_invalid_parameters(self):
         code, _ = run(["search", "--k", "0", "--n", "1"])
         assert code == EXIT_USAGE

@@ -1,5 +1,6 @@
 """Inequality certification: values, oracles, sampling reports."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bookram.lemmas import (
+    _elementary_symmetric_arr,
     degprod_certify,
     degprod_floor,
     dichotomy_certify,
@@ -18,6 +20,9 @@ from bookram.lemmas import (
     elementary_symmetric,
     gen_binomial,
 )
+
+# sha256 of TestDegprodCertify.test_reports_pinned's reports
+PINNED_DEGPROD_DIGEST = "3c6da870725db7bb3256505350471152884380d0c947569b80b9d82d03fb85fc"
 
 
 class TestGenBinomial:
@@ -76,6 +81,19 @@ class TestDichotomyValue:
         )
 
 
+def reference_elementary_symmetric_arr(x, k):
+    """The column-by-column recurrence over an (rows, k + 1) table that the
+    row-per-degree layout replaced."""
+    rows = x.shape[0]
+    e = np.zeros((rows, k + 1), dtype=np.float64)
+    e[:, 0] = 1.0
+    for j in range(x.shape[1]):
+        col = x[:, j]
+        for d in range(k, 0, -1):
+            e[:, d] += e[:, d - 1] * col
+    return e[:, k]
+
+
 class TestElementarySymmetric:
     def test_small_values(self):
         assert elementary_symmetric((1, 1, 1), 2) == 3.0
@@ -102,6 +120,46 @@ class TestElementarySymmetric:
             assert elementary_symmetric(xs, k) == pytest.approx(
                 elementary_symmetric(perm, k), rel=1e-9, abs=1e-12
             )
+
+
+class TestElementarySymmetricArr:
+    def test_equals_reference_on_random_points(self):
+        rng = np.random.default_rng(3)
+        for l in range(1, 11):
+            x = rng.uniform(0.0, 1.0, size=(257, l))
+            for k in range(0, l + 1):
+                assert np.array_equal(
+                    _elementary_symmetric_arr(x, k), reference_elementary_symmetric_arr(x, k)
+                ), (l, k)
+
+    def test_equals_reference_on_corners(self):
+        for l in (1, 4, 7):
+            x = np.array(list(itertools.product((0.0, 1.0), repeat=l)))
+            for k in range(0, l + 1):
+                got = _elementary_symmetric_arr(x, k)
+                assert np.array_equal(got, reference_elementary_symmetric_arr(x, k))
+                assert np.array_equal(got, [comb(int(r.sum()), k) for r in x])
+
+    def test_edge_cases(self):
+        x = np.array([[0.25], [0.5], [1.0]])
+        assert np.array_equal(_elementary_symmetric_arr(x, 1), [0.25, 0.5, 1.0])
+        assert np.array_equal(_elementary_symmetric_arr(x, 0), [1.0, 1.0, 1.0])
+        wide = np.random.default_rng(4).uniform(size=(5, 6))
+        assert np.array_equal(_elementary_symmetric_arr(wide, 0), np.ones(5))
+
+    def test_non_contiguous_input(self):
+        x = np.random.default_rng(5).uniform(size=(40, 12))[::2, ::3]
+        assert np.array_equal(
+            _elementary_symmetric_arr(x, 3), reference_elementary_symmetric_arr(x, 3)
+        )
+
+    @given(st.integers(1, 8), st.integers(0, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_recurrence(self, l, k, seed):
+        x = np.random.default_rng(seed).uniform(size=(9, l))
+        got = _elementary_symmetric_arr(x, min(k, l))
+        assert np.array_equal(got, reference_elementary_symmetric_arr(x, min(k, l)))
+        assert list(got) == [elementary_symmetric(row, min(k, l)) for row in x]
 
 
 class TestDichotomyCertify:
@@ -169,6 +227,16 @@ class TestDegprodCertify:
         xs = (0.0148166, 0.00124099, 0.40754141)
         assert elementary_symmetric(xs, 3) < gen_binomial(sum(xs), 3)
         assert elementary_symmetric(xs, 3) >= degprod_floor(np.array([sum(xs)]), 3)[0]
+
+    def test_reports_pinned(self):
+        # sha256 over the to_tsv() reports on a small (l, k) grid, as the
+        # column-by-column recurrence computed them
+        digest = hashlib.sha256()
+        for l in (1, 3, 5, 8):
+            for k in range(1, min(5, l) + 1):
+                for seed in (0, 11):
+                    digest.update(degprod_certify(l, k, 2000, seed, 1e-9).to_tsv().encode())
+        assert digest.hexdigest() == PINNED_DEGPROD_DIGEST
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

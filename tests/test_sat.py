@@ -1,8 +1,11 @@
 """CNF export semantics, the reference solver, and DFS agreement."""
 
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bookram.books import has_mono_book
 from bookram.sat import (
@@ -18,7 +21,62 @@ from bookram.sat import (
     sat_export,
     solve_dimacs,
 )
+from bookram.colouring import BLUE
 from bookram.search import FOUND, find_witness
+
+
+def reference_export(k, n, size):
+    """The per-clause export that the array-built ``sat_export`` replaced:
+    one tuple per clause, formatted with ``str``."""
+    evar = edge_index(size)
+    next_var = len(evar) + 1
+    clauses = []
+
+    def edge_lit(u, v, colour):
+        var = evar[(u, v) if u < v else (v, u)]
+        return var if colour == BLUE else -var
+
+    for spine in itertools.combinations(range(size), k):
+        for colour in (0, 1):
+            lits = [edge_lit(u, v, colour) for u, v in itertools.combinations(spine, 2)]
+            mono = next_var
+            next_var += 1
+            for lit in lits:
+                clauses.append((-mono, lit))
+            clauses.append((mono, *[-lit for lit in lits]))
+            page_vars = []
+            spine_set = set(spine)
+            for v in range(size):
+                if v in spine_set:
+                    continue
+                p = next_var
+                next_var += 1
+                page_vars.append(p)
+                plits = [edge_lit(v, u, colour) for u in spine]
+                for lit in plits:
+                    clauses.append((-p, lit))
+                clauses.append((p, *[-lit for lit in plits]))
+            bound = n - 1
+            if len(page_vars) <= bound:
+                continue
+            if bound == 0:
+                for p in page_vars:
+                    clauses.append((-mono, -p))
+            else:
+                extra, next_var = _sequential_counter_clauses(mono, page_vars, bound, next_var)
+                clauses.extend(extra)
+
+    out = [
+        f"c book-avoidance instance: K_{size}, spine K_{k}, forbid {n} pages",
+        "c edge variable true = blue, false = red",
+        "c cardinality encoding: sequential counter, conditional on mono-spine indicator",
+    ]
+    for (u, v), t in evar.items():
+        out.append(f"c edge {u + 1} {v + 1} -> var {t}")
+    out.append(f"p cnf {next_var - 1} {len(clauses)}")
+    for cl in clauses:
+        out.append(" ".join(str(l) for l in cl) + " 0")
+    return "\n".join(out) + "\n"
 
 
 class TestEncoding:
@@ -61,6 +119,32 @@ class TestEncoding:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             sat_export(0, 1, 4)
+
+
+class TestExportMatchesReference:
+    def test_grid(self):
+        for k in range(1, 5):
+            for n in range(1, 5):
+                for size in range(2, 10):
+                    assert sat_export(k, n, size) == reference_export(k, n, size), (k, n, size)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(2, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_random_box(self, k, n, size):
+        assert sat_export(k, n, size) == reference_export(k, n, size)
+
+    def test_chunked_formatting(self, monkeypatch):
+        # 112 blocks of 93 literals each, formatted 1, 10 and 32 blocks a pass
+        for width in (1, 1000, 3000):
+            monkeypatch.setattr("bookram.sat._CHUNK_LITERALS", width)
+            assert sat_export(3, 2, 8) == reference_export(3, 2, 8)
+
+    def test_pinned_digest_k3_n3_size24(self):
+        text = sat_export(3, 3, 24)
+        assert len(text) == 15_549_696
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8e49e12ca19a91c9522264b253f14d887de764ad799560ce539c7afe934f8669"
+        )
 
 
 class TestSequentialCounter:

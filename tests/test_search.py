@@ -57,6 +57,19 @@ class TestFindWitness:
         assert find_witness(2, 1, 6).status == NONE
         assert find_witness(2, 1, 7).status == NONE
 
+    def test_no_recursion_limit_on_vertex_count(self):
+        # 1,128 edges deep, past Python's default recursion limit of 1,000
+        res = find_witness(1, 47, 48)
+        assert res.status == FOUND
+        col = res.colouring
+        assert col.n == 48
+        full = (1 << 48) - 1
+        for v in range(48):
+            # every edge coloured exactly once
+            assert col.adj[0][v] & col.adj[1][v] == 0
+            assert col.adj[0][v] | col.adj[1][v] == full & ~(1 << v)
+        assert not has_mono_book(col, 1, 47)
+
     def test_found_witnesses_verified(self):
         for size in (3, 4, 5):
             res = find_witness(2, 1, size)
@@ -88,6 +101,13 @@ class TestRamseyBook:
         assert res.upper == res.lower + 1
         assert res.witness.n == res.lower
         assert not has_mono_book(res.witness, 1, 2)
+
+    def test_k2_n2_node_count(self):
+        # the node count pins the edge order, the symmetry rule and the
+        # budget ticks of the depth-first search
+        res = ramsey_book(2, 2)
+        assert res.status == EXACT and res.ramsey_number == 10
+        assert res.nodes == 804_977
 
     def test_budget_reports_bounded(self):
         res = ramsey_book(2, 2, Budget(max_nodes=50))
