@@ -18,8 +18,8 @@ from .colouring import (
     Colouring,
     _unpack_rows,
     bits,
+    clique_pages,
     common_pages,
-    mono_cliques,
 )
 
 #: From this vertex count on, ``max_book`` uses the dense matrix path for k
@@ -46,12 +46,11 @@ class BookProfile:
     best: BookCertificate | None
 
 
-def max_book(col: Colouring, k: int, threads: int = 1) -> BookCertificate | None:
+def max_book(col: Colouring, k: int) -> BookCertificate | None:
     """Certificate with the maximum page count over all colours and all
     monochromatic k-clique spines, or None when no spine exists at all.
 
-    "No spine" is distinct from a 0-page certificate.  ``threads`` is
-    accepted for compatibility and has no effect: the search is serial.
+    "No spine" is distinct from a 0-page certificate.
     """
     if k < 1:
         raise ValueError("spine size must be at least 1")
@@ -72,31 +71,12 @@ def _max_book_bitset(col: Colouring, k: int):
     """Clique-extension search; pages are popcounts of the running
     neighbourhood intersection.  Returns (pages, colour, spine) or None."""
     best = None
+    bar = -1  # below every page count, so it prunes only spines that cannot close
     full = col.full_mask()
-    prefix: list[int] = []
     for c in range(col.q):
-        adjc = col.adj[c]
-
-        def walk(candidates: int, inter: int, remaining: int):
-            nonlocal best
-            if remaining == 0:
-                pages = inter.bit_count()
-                if best is None or pages > best[0]:
-                    best = (pages, c, tuple(prefix))
-                return
-            # inter minus the remaining spine picks bounds the final page count
-            if best is not None and inter.bit_count() - remaining <= best[0]:
-                return
-            for v in bits(candidates):
-                prefix.append(v)
-                walk(
-                    candidates & adjc[v] & ~((1 << (v + 1)) - 1),
-                    inter & adjc[v],
-                    remaining - 1,
-                )
-                prefix.pop()
-
-        walk(full, full, k)
+        for spine, pages in clique_pages(col.adj[c], full, full, k, bar):
+            bar = pages.bit_count()
+            best = (bar, c, spine)
     return best
 
 
@@ -171,23 +151,7 @@ def has_mono_book(col: Colouring, k: int, n: int) -> bool:
         return False
     full = col.full_mask()
     for c in range(col.q):
-        adjc = col.adj[c]
-
-        def walk(candidates: int, inter: int, remaining: int) -> bool:
-            if remaining == 0:
-                return inter.bit_count() >= n
-            if inter.bit_count() - remaining < n:
-                return False
-            for v in bits(candidates):
-                if walk(
-                    candidates & adjc[v] & ~((1 << (v + 1)) - 1),
-                    inter & adjc[v],
-                    remaining - 1,
-                ):
-                    return True
-            return False
-
-        if walk(full, full, k):
+        for _ in clique_pages(col.adj[c], full, full, k, n - 1):
             return True
     return False
 
@@ -250,10 +214,11 @@ def _profile_enumerate(col: Colouring, k: int):
     spine at a time in lexicographic order."""
     histograms: list[dict[int, int]] = []
     best = None
+    full = col.full_mask()
     for c in range(col.q):
         hist: dict[int, int] = {}
-        for spine in mono_cliques(col, c, k):
-            pages = common_pages(col, c, spine).bit_count()
+        for spine, mask in clique_pages(col.adj[c], full, full, k):
+            pages = mask.bit_count()
             hist[pages] = hist.get(pages, 0) + 1
             if best is None or pages > best[0]:
                 best = (pages, c, spine)
@@ -290,16 +255,3 @@ def profile_tsv(profile: BookProfile) -> str:
             out.append(f"{pages}\t{hist[pages]}")
     return "\n".join(out) + "\n"
 
-
-def spine_page_totals(col: Colouring, k: int) -> tuple[int, ...]:
-    """Per colour, the sum of page counts over all size-k spines.
-
-    Equals (k+1) times the number of monochromatic (k+1)-cliques of that
-    colour: each such clique is counted once per choice of page vertex.
-    """
-    totals = []
-    for c in range(col.q):
-        totals.append(
-            sum(common_pages(col, c, s).bit_count() for s in mono_cliques(col, c, k))
-        )
-    return tuple(totals)

@@ -9,7 +9,6 @@ paths given on the command line.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import books, constructions, lemmas, regularity, sat, search
@@ -40,20 +39,6 @@ def _write(path: str | None, text: str, out) -> None:
             fh.write(text)
     else:
         out.write(text)
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValueError("--threads must be at least 1")
-        return args.threads
-    env = os.environ.get("BOOKRAM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,7 +140,9 @@ def main(argv=None, out=None) -> int:
 def _dispatch(args, out) -> int:
     if args.command == "book":
         col = parse_colouring(_read(args.input))
-        cert = books.max_book(col, args.k, threads=_threads(args))
+        if args.threads is not None and args.threads < 1:
+            raise ValueError("--threads must be at least 1")
+        cert = books.max_book(col, args.k)
         if cert is None:
             _write(args.out, "NOSPINE\n", out)
         else:

@@ -214,6 +214,71 @@ def emit_colouring(col: Colouring) -> str:
     return (b"\n".join(out) + b"\n").decode("ascii")
 
 
+def clique_pages(rows, candidates: int, inter: int, size: int, bar: int | None = None):
+    """Yield ``(clique, pages)`` for every clique of ``size`` vertices in the
+    adjacency ``rows`` with all its vertices in ``candidates``, in
+    lexicographic order; ``pages`` is ``inter`` ANDed with the clique's rows.
+    ``candidates`` must lie inside ``inter``.
+
+    With an int ``bar``, only cliques with more than ``bar`` pages are
+    yielded, and each one yielded raises the bar to its page count.  A branch
+    is dropped once its page count less the picks still to make is at most
+    the bar: every pick lies in the running intersection and, having no loop,
+    leaves it.  This is the one clique extension of the package; every spine
+    search is a loop over it.
+    """
+    if bar is not None and inter.bit_count() - size <= bar:
+        return
+    if size == 0:
+        yield (), inter
+        return
+    if size == 1:
+        # no stack: the Ramsey search asks for single picks at every node
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            v = low.bit_length() - 1
+            pages = inter & rows[v]
+            if bar is None:
+                yield (v,), pages
+            elif pages.bit_count() > bar:
+                bar = pages.bit_count()
+                yield (v,), pages
+        return
+    last = size - 1
+    clique: list[int] = []
+    stack: list[tuple[int, int]] = []  # (candidates left, inter) of the open levels
+    while True:
+        if len(clique) == last:
+            # the last pick: every candidate closes a clique
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                v = low.bit_length() - 1
+                pages = inter & rows[v]
+                if bar is None:
+                    yield (*clique, v), pages
+                elif pages.bit_count() > bar:
+                    bar = pages.bit_count()
+                    yield (*clique, v), pages
+        elif candidates:
+            low = candidates & -candidates
+            candidates ^= low  # only candidates above v are left
+            v = low.bit_length() - 1
+            row = rows[v]
+            narrowed = inter & row
+            if bar is None or narrowed.bit_count() - (last - len(clique)) > bar:
+                stack.append((candidates, inter))
+                clique.append(v)
+                candidates &= row
+                inter = narrowed
+            continue
+        if not stack:
+            return
+        candidates, inter = stack.pop()
+        clique.pop()
+
+
 def mono_cliques(col: Colouring, c: int, k: int):
     """Yield the k-sets that are cliques in colour c, in lexicographic order.
 
@@ -222,21 +287,9 @@ def mono_cliques(col: Colouring, c: int, k: int):
     """
     if k < 1:
         raise ValueError("clique size must be at least 1")
-    if k > col.n:
-        return
-    adjc = col.adj[c]
-    prefix: list[int] = []
-
-    def extend(candidates: int, remaining: int):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for v in bits(candidates):
-            prefix.append(v)
-            yield from extend(candidates & adjc[v] & ~((1 << (v + 1)) - 1), remaining - 1)
-            prefix.pop()
-
-    yield from extend(col.full_mask(), k)
+    full = col.full_mask()
+    for clique, _ in clique_pages(col.adj[c], full, full, k):
+        yield clique
 
 
 def common_pages(col: Colouring, c: int, spine) -> int:
@@ -267,20 +320,14 @@ def count_mono_cliques(col: Colouring, k: int) -> tuple[int, ...]:
     if k > col.n:
         return (0,) * col.q
     full = col.full_mask()
-    counts = []
-    for c in range(col.q):
-        adjc = col.adj[c]
-
-        def count(candidates: int, remaining: int) -> int:
-            if remaining == 1:
-                return candidates.bit_count()
-            total = 0
-            for v in bits(candidates):
-                total += count(candidates & adjc[v] & ~((1 << (v + 1)) - 1), remaining - 1)
-            return total
-
-        counts.append(count(full, k))
-    return tuple(counts)
+    # each (k-1)-clique closes one k-clique per common neighbour above its top
+    return tuple(
+        sum(
+            (pages >> (clique[-1] + 1 if clique else 0)).bit_count()
+            for clique, pages in clique_pages(col.adj[c], full, full, k - 1)
+        )
+        for c in range(col.q)
+    )
 
 
 @dataclass(frozen=True)

@@ -46,32 +46,16 @@ def random_colouring(size: int, seed: int) -> Colouring:
     return Colouring(size, 2, (_pack_rows(red), _pack_rows(blue)))
 
 
-@dataclass(frozen=True)
-class BlowupSpec:
-    """Blow-up bookkeeping: template colouring, part size, and the part map
-    (vertex v lives in part v // part_size; parts are contiguous blocks)."""
-
-    base: Colouring
-    part_size: int
-
-    @property
-    def total(self) -> int:
-        return self.base.n * self.part_size
-
-    def part_of(self, v: int) -> int:
-        return v // self.part_size
-
-
 def multicolour_blowup(base: Colouring, part_size: int) -> Colouring:
     """Replace every template vertex by a block of ``part_size`` vertices.
 
     Edges between blocks i != j inherit the template colour of (i, j); edges
-    inside a block all get the fresh colour ``base.q``.
+    inside a block all get the fresh colour ``base.q``.  Vertex v lives in
+    block v // part_size.
     """
     if part_size < 1:
         raise ValueError("part size must be at least 1")
-    spec = BlowupSpec(base, part_size)
-    total, q_out = spec.total, base.q + 1
+    total, q_out = base.n * part_size, base.q + 1
 
     part_masks = []
     block = (1 << part_size) - 1
@@ -80,7 +64,7 @@ def multicolour_blowup(base: Colouring, part_size: int) -> Colouring:
 
     rows = [[0] * total for _ in range(q_out)]
     for v in range(total):
-        pv = spec.part_of(v)
+        pv = v // part_size
         rows[base.q][v] = part_masks[pv] & ~(1 << v)
         for c in range(base.q):
             acc = 0

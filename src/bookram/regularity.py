@@ -25,6 +25,7 @@ from .colouring import (
     Colouring,
     _unpack_rows,
     bits,
+    clique_pages,
     common_pages,
     mask_of,
 )
@@ -477,39 +478,34 @@ def build_reduced(
 
 
 def _transversal_scan(col: Colouring, colour: int, spine_parts, page_mask: int):
-    """Enumerate colour-c cliques with the i-th vertex drawn from the i-th
-    part (parts may repeat, vertices stay distinct).  Returns
-    (best, count, total_pages) where best is (pages, spine) or None."""
+    """Enumerate the colour-c cliques with one vertex in each part (parts may
+    repeat, vertices stay distinct), each vertex set once.  Returns
+    (best, count, total_pages) where best is (pages, spine) or None; the
+    lexicographic order makes the first maximum the smallest spine."""
     part_masks = [mask_of(p) for p in spine_parts]
-    k = len(part_masks)
-    adjc = col.adj[colour]
-    full = col.full_mask()
-    seen: set[frozenset[int]] = set()
-    chosen: list[int] = []
+    # Hall's condition: the parts have distinct representatives in a spine iff
+    # every r of them meet it in at least r vertices (each union keeps its
+    # largest r, as larger groups come later)
+    need: dict[int, int] = {}
+    for r in range(1, len(part_masks) + 1):
+        for group in itertools.combinations(part_masks, r):
+            joined = 0
+            for m in group:
+                joined |= m
+            need[joined] = r
+    union = mask_of(v for p in spine_parts for v in p)
     best: tuple[int, tuple[int, ...]] | None = None
     count = 0
     total = 0
-
-    def rec(pos: int, used: int, inter: int):
-        nonlocal best, count, total
-        if pos == k:
-            key = frozenset(chosen)
-            if key in seen:
-                return
-            seen.add(key)
-            pages = (inter & page_mask).bit_count()
-            spine = tuple(sorted(chosen))
-            count += 1
-            total += pages
-            if best is None or pages > best[0] or (pages == best[0] and spine < best[1]):
-                best = (pages, spine)
-            return
-        for v in bits(part_masks[pos] & inter & ~used):
-            chosen.append(v)
-            rec(pos + 1, used | (1 << v), inter & adjc[v])
-            chosen.pop()
-
-    rec(0, 0, full)
+    for spine, inter in clique_pages(col.adj[colour], union, col.full_mask(), len(part_masks)):
+        chosen = mask_of(spine)
+        if any((chosen & m).bit_count() < r for m, r in need.items()):
+            continue
+        pages = (inter & page_mask).bit_count()
+        count += 1
+        total += pages
+        if best is None or pages > best[0]:
+            best = (pages, spine)
     return best, count, total
 
 

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 
 from .books import has_mono_book
-from .colouring import Colouring
+from .colouring import Colouring, clique_pages
 
 FOUND = "found"
 NONE = "none"
@@ -73,41 +73,22 @@ class ExactResult:
         return self.upper if self.status == EXACT else None
 
 
-def _clique_page_masks(adjc: list[int], allowed: int, size: int, acc: int):
-    """Yield ``acc`` intersected with the neighbourhoods of every clique of
-    ``size`` vertices inside the ``allowed`` mask."""
-    if size == 0:
-        yield acc
-        return
-    m = allowed
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        yield from _clique_page_masks(
-            adjc, allowed & adjc[v] & ~((1 << (v + 1)) - 1), size - 1, acc & adjc[v]
-        )
-
-
 def _creates_book(adj, u: int, v: int, c: int, k: int, n: int) -> bool:
     """After edge (u, v) got colour c, does a monochromatic book with spine
     size k and >= n pages exist among decided edges?
 
     Any new book uses the new edge, either inside its spine or joining a page
-    to a spine vertex, so only spines through u or v need scanning.
+    to a spine vertex, so only spines through u or v need scanning.  The
+    rest of such a spine lies in ``both``, inside each page mask searched, so
+    the kernel's bound holds.
     """
     adjc = adj[c]
     both = adjc[u] & adjc[v]
     if k >= 2:
-        base = both
-        for pages in _clique_page_masks(adjc, both, k - 2, base):
-            if pages.bit_count() >= n:
-                return True
-    for pages in _clique_page_masks(adjc, both, k - 1, adjc[u]):
-        if pages.bit_count() >= n:
+        for _ in clique_pages(adjc, both, both, k - 2, n - 1):
             return True
-    for pages in _clique_page_masks(adjc, both, k - 1, adjc[v]):
-        if pages.bit_count() >= n:
+    for pages in (adjc[u], adjc[v]):
+        for _ in clique_pages(adjc, both, pages, k - 1, n - 1):
             return True
     return False
 

@@ -14,7 +14,6 @@ from bookram.books import (
     local_profile,
     max_book,
     profile_tsv,
-    spine_page_totals,
     verify_certificate,
 )
 from bookram.colouring import (
@@ -86,15 +85,6 @@ class TestMaxBook:
         col = multicolour_blowup(pentagon_colouring(), 40)
         for k in (2, 3):
             assert _max_book_dense(col, k) == _max_book_bitset(col, k)
-
-    def test_threads_agree_on_three_colours(self):
-        col = multicolour_blowup(pentagon_colouring(), 4)
-        for k in (1, 2, 3):
-            assert max_book(col, k, threads=2) == max_book(col, k, threads=1)
-
-    def test_threads_agree(self):
-        col = random_colouring(48, 8)
-        assert max_book(col, 2, threads=2) == max_book(col, 2, threads=1)
 
     def test_deterministic_tiebreak_prefers_smaller_colour(self):
         # swap colours of the pentagon: identical structure, max must pick colour 0
@@ -291,7 +281,7 @@ class TestInvariants:
         for seed in range(6):
             col = random_small(12, seed)
             for k in (1, 2, 3):
-                totals = spine_page_totals(col, k)
+                totals = _page_totals(local_profile(col, k))
                 bigger = count_mono_cliques(col, k + 1)
                 for c in (0, 1):
                     assert totals[c] == (k + 1) * bigger[c]
@@ -302,7 +292,7 @@ class TestInvariants:
             for k in (1, 2):
                 cert = max_book(col, k)
                 counts = count_mono_cliques(col, k)
-                totals = spine_page_totals(col, k)
+                totals = _page_totals(local_profile(col, k))
                 spines = sum(counts)
                 if spines:
                     assert cert.page_count * spines >= sum(totals)
@@ -321,3 +311,8 @@ class TestInvariants:
                 lambda u, v: col.colour_of(u, v) if v < 8 else rng.randrange(2),
             )
             assert max_book(extended, 2).page_count >= base
+
+
+def _page_totals(profile):
+    """Per colour, the sum of page counts over all spines of the profile."""
+    return tuple(sum(p * n for p, n in hist.items()) for hist in profile.histograms)

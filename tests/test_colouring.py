@@ -16,6 +16,7 @@ from bookram.colouring import (
     _subset_rank,
     _unpack_rows,
     bits,
+    clique_pages,
     common_pages,
     count_mono_cliques,
     emit_certificate,
@@ -179,6 +180,43 @@ class TestMonoCliques:
                         == comb(k, 2)
                     )
                     assert count_mono_cliques(col, k)[c] == brute
+
+
+class TestCliquePages:
+    """The clique-extension kernel against ``itertools.combinations``."""
+
+    @staticmethod
+    def brute(col, c, candidates, inter, size):
+        out = []
+        for clique in itertools.combinations(bits(candidates), size):
+            if all(col.colour_of(u, v) == c for u, v in itertools.combinations(clique, 2)):
+                pages = inter
+                for v in clique:
+                    pages &= col.adj[c][v]
+                out.append((clique, pages))
+        return out
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_combinations(self, data):
+        n = data.draw(st.integers(1, 14))
+        q = data.draw(st.sampled_from((2, 3)))
+        col = random_small(n, data.draw(st.integers(0, 10_000)), q)
+        c = data.draw(st.integers(0, q - 1))
+        inter = data.draw(st.integers(0, col.full_mask()))
+        candidates = inter & data.draw(st.integers(0, col.full_mask()))
+        size = data.draw(st.integers(0, 5))
+        expected = self.brute(col, c, candidates, inter, size)
+        # the same cliques in the same order, each with the AND of its rows
+        assert list(clique_pages(col.adj[c], candidates, inter, size)) == expected
+        # an int bar yields exactly the successive strict records above it
+        start = data.draw(st.integers(-1, n))
+        bar, records = start, []
+        for clique, pages in expected:
+            if pages.bit_count() > bar:
+                bar = pages.bit_count()
+                records.append((clique, pages))
+        assert list(clique_pages(col.adj[c], candidates, inter, size, start)) == records
 
 
 class TestCommonPages:

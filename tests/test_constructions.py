@@ -12,7 +12,6 @@ from bookram.colouring import (
     mono_cliques,
 )
 from bookram.constructions import (
-    BlowupSpec,
     hyper_max_book,
     hypergraph_blowup,
     multicolour_blowup,
@@ -71,12 +70,6 @@ class TestMulticolourBlowup:
         assert col.colour_of(2, 3) == 2
         for u, v in ((0, 2), (0, 3), (1, 2), (1, 3)):
             assert col.colour_of(u, v) == 0
-
-    def test_part_map(self):
-        base = pentagon_colouring()
-        spec = BlowupSpec(base, 3)
-        for v in range(15):
-            assert spec.part_of(v) == v // 3
 
     def test_pentagon_blowup_shape(self):
         col = multicolour_blowup(pentagon_colouring(), 3)

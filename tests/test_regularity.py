@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bookram.books import max_book, verify_certificate
-from bookram.colouring import BLUE, RED, Colouring, mask_of, mono_cliques
+from bookram.colouring import BLUE, RED, Colouring, common_pages, mask_of, mono_cliques
 from bookram.constructions import random_colouring
 from bookram.regularity import (
     EquitablePartition,
@@ -560,6 +560,27 @@ class TestTransversalBestSpine:
                         if _has_sdr(rest, parts):
                             rhs += 1
                 assert total == rhs
+
+    def test_overlapping_parts_match_bruteforce(self):
+        # overlapping parts, one listed twice: a spine counts only with
+        # distinct representatives, so the two copies of (0, 1) take both 0 and 1
+        parts = [(0, 1), (0, 1), (0, 1, 2), (1, 2, 5, 6, 7)]
+        pages = [tuple(range(3, 12))]
+        page_mask = mask_of(pages[0])
+        for seed in (1, 2, 3, 4):
+            col = all_one_colour(12) if seed == 4 else random_small(12, seed)
+            for c in (0, 1):
+                for k in (3, 4):
+                    spine_parts = parts[:k]
+                    fits = [s for s in mono_cliques(col, c, k) if _has_sdr(s, spine_parts)]
+                    got = [(common_pages(col, c, s) & page_mask).bit_count() for s in fits]
+                    stats = transversal_page_stats(col, c, spine_parts, pages)
+                    assert stats == (len(fits), sum(got))
+                    cert = transversal_best_spine(col, c, spine_parts, pages)
+                    if not fits:
+                        assert cert is None
+                    else:
+                        assert (cert.page_count, cert.spine) == (max(got), fits[got.index(max(got))])
 
     def test_max_at_least_average(self):
         col = random_colouring(48, 18)

@@ -1,6 +1,10 @@
 """Branch-and-prune Ramsey search: exact values, soundness, budgets."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bookram.books import has_mono_book
 from bookram.search import (
@@ -10,6 +14,7 @@ from bookram.search import (
     INCONCLUSIVE,
     NONE,
     Budget,
+    _creates_book,
     find_witness,
     ramsey_book,
 )
@@ -119,3 +124,49 @@ class TestRamseyBook:
     def test_parameter_validation(self, bad):
         with pytest.raises(ValueError):
             find_witness(bad[0], bad[1], 3)
+
+
+
+def book_through_edge(colour_of, size: int, u: int, v: int, c: int, k: int, n: int) -> bool:
+    """Brute force: some colour-c spine of k vertices with at least n pages
+    among the decided edges uses edge (u, v), inside the spine or from a
+    spine vertex to a page."""
+    for spine in itertools.combinations(range(size), k):
+        if any(colour_of(a, b) != c for a, b in itertools.combinations(spine, 2)):
+            continue
+        pages = [
+            p for p in range(size) if p not in spine and all(colour_of(p, a) == c for a in spine)
+        ]
+        if len(pages) < n:
+            continue
+        if (u in spine and (v in spine or v in pages)) or (v in spine and u in pages):
+            return True
+    return False
+
+
+class TestCreatesBook:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_on_partial_colourings(self, data):
+        size = data.draw(st.integers(2, 9))
+        k = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 4))
+        pairs = list(itertools.combinations(range(size), 2))
+        # None leaves an edge undecided
+        states = data.draw(
+            st.lists(st.sampled_from((None, 0, 1)), min_size=len(pairs), max_size=len(pairs))
+        )
+        colour = dict(zip(pairs, states))
+        adj = [[0] * size for _ in range(2)]
+        for (u, v), c in colour.items():
+            if c is not None:
+                adj[c][u] |= 1 << v
+                adj[c][v] |= 1 << u
+
+        def colour_of(a, b):
+            return colour[(min(a, b), max(a, b))]
+
+        for (u, v), c in colour.items():
+            if c is not None:
+                expected = book_through_edge(colour_of, size, u, v, c, k, n)
+                assert _creates_book(adj, u, v, c, k, n) == expected, (u, v, c)
