@@ -216,7 +216,12 @@ def _dispatch(args, out) -> int:
         return EXIT_OK if report.violations == 0 else EXIT_VIOLATED
 
     if args.command == "pipeline":
+        for flag, value in (("--eta", args.eta), ("--delta", args.delta)):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{flag} must lie in [0, 1], got {value}")
         col = parse_colouring(_read(args.input))
+        if not 1 <= args.parts <= col.n:
+            raise ValueError(f"--parts must lie in 1..{col.n}, got {args.parts}")
         partition = regularity.make_partition(
             col, args.parts, args.seed, args.steps, eta=args.eta
         )

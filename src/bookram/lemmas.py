@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 GRID_POINTS = 33  # per-axis resolution of the coarse minimisation grid
+# most coordinates a certification lattice (3^k points of k, 2^l of l) may hold
+LATTICE_ENTRY_CAP = 1 << 22
 
 
 def gen_binomial(c: float, k: int) -> float:
@@ -109,6 +111,15 @@ class LemmaReport:
         return "\n".join(rows) + "\n"
 
 
+def _check_lattice(values: int, dim: int) -> None:
+    """Refuse a lattice of values^dim points whose coordinates pass the cap
+    (values >= 2, so a dim past the cap's bit length always does)."""
+    if dim > LATTICE_ENTRY_CAP.bit_length() or values**dim * dim > LATTICE_ENTRY_CAP:
+        raise ValueError(
+            f"the {values}^{dim}-point lattice passes the cap of {LATTICE_ENTRY_CAP} coordinates"
+        )
+
+
 def _scan_margins(points: np.ndarray, lhs: np.ndarray, rhs, tol: float):
     margins = lhs - rhs
     scaled = tol * (1.0 + np.abs(lhs))
@@ -130,12 +141,14 @@ def dichotomy_certify(
     grid-plus-coordinate-descent minimum of the left-hand side.
 
     ``bound_offset`` strengthens the bound artificially; the default 0 is the
-    proved inequality and should report zero violations.
+    proved inequality and should report zero violations.  A k whose lattice
+    passes LATTICE_ENTRY_CAP coordinates is refused before anything is built.
     """
     if samples < 1 or k < 1:
         raise ValueError("need samples >= 1 and k >= 1")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    _check_lattice(3, k)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, t, size=(samples, k))
     lattice = np.array(list(itertools.product((0.0, t / 2, t), repeat=k)))
@@ -225,7 +238,8 @@ def degprod_certify(l: int, k: int, samples: int, seed: int, tol: float) -> Lemm
     (where the bound is tight).
 
     On sums below k-1 the certified floor is the extremal value rather than
-    the raw generalized binomial; see ``degprod_floor``.
+    the raw generalized binomial; see ``degprod_floor``.  An l whose corners
+    pass LATTICE_ENTRY_CAP coordinates is refused before anything is built.
     """
     if k > l:
         raise ValueError("need k <= l")
@@ -233,6 +247,7 @@ def degprod_certify(l: int, k: int, samples: int, seed: int, tol: float) -> Lemm
         raise ValueError("need samples >= 1, l >= 1, k >= 0")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    _check_lattice(2, l)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(samples, l))
     corners = np.array(list(itertools.product((0.0, 1.0), repeat=l)))

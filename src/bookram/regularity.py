@@ -31,6 +31,13 @@ from .colouring import (
 )
 
 _FUZZ = 1e-12
+# random probes decoded per batch: bounds memory at any trial count and lets
+# an early violation skip the rest
+_PROBE_CHUNK = 128
+# Generator.choice(n, s, replace=False) runs Floyd's algorithm up to this
+# population and may shuffle a tail instead above it
+_FLOYD_LIMIT = 10_000
+_U32 = np.uint64(0xFFFFFFFF)
 
 
 def pair_density(col: Colouring, colour: int, a, b) -> float:
@@ -54,6 +61,144 @@ def _block(col: Colouring, colour: int, a, b) -> np.ndarray:
     """uint8 0/1 matrix of the colour's edges, rows a and columns b."""
     adjc = col.adj[colour]
     return _unpack_rows([adjc[u] for u in a], col.n).take(b, 1)
+
+
+def _probe_draws(rngs, trials: int, qa: int, na: int, qb: int, nb: int):
+    """Yield the subset pairs of ``trials`` random probes from each generator
+    in ``rngs``, in chunks of at most _PROBE_CHUNK probes from each.
+
+    Probe t of a generator g is what ``su = g.integers(qa, na + 1)``,
+    ``sv = g.integers(qb, nb + 1)``, ``g.choice(na, su, replace=False)`` and
+    ``g.choice(nb, sv, replace=False)`` return, in that order.  A chunk is
+    (su, sv, rows_a, rows_b) with one row per probe, generator by generator,
+    the rows float 0/1 marks of the chosen positions, and it leaves every
+    generator where those calls would.  Chunks are decoded from the raw
+    32-bit outputs the calls read; a chunk where a bounded draw would be
+    rejected, or a population above _FLOYD_LIMIT, is drawn by the calls
+    themselves.
+    """
+    if trials > 0 and (qa > na or qb > nb):
+        raise ValueError(f"probes of at least {qa} and {qb} do not fit sets of {na} and {nb}")
+    # no probe reads more raw outputs than this
+    bound = 2 + 2 * na + 2 * nb
+    for done in range(0, trials, _PROBE_CHUNK):
+        count = min(_PROBE_CHUNK, trials - done)
+        chunk = None
+        if max(na, nb) <= _FLOYD_LIMIT:
+            states = [g.bit_generator.state for g in rngs]
+            raw = np.concatenate(
+                [g.integers(0, 2**32, size=count * bound, dtype=np.uint32) for g in rngs]
+            )
+            chunk, used = _decode_probes(raw.astype(np.uint64), len(rngs), count, qa, na, qb, nb)
+            for g, state, reads in zip(rngs, states, used):
+                g.bit_generator.state = state
+                if chunk is not None:
+                    g.integers(0, 2**32, size=reads, dtype=np.uint32)
+        if chunk is None:
+            parts = [_probe_loop(g, count, qa, na, qb, nb) for g in rngs]
+            chunk = tuple(np.concatenate(p) for p in zip(*parts))
+        yield chunk
+
+
+def _probe_loop(rng, count: int, qa: int, na: int, qb: int, nb: int):
+    """One generator's part of a _probe_draws chunk, from the Generator calls
+    themselves."""
+    sizes = np.empty((2, count), dtype=np.int64)
+    rows_a = np.zeros((count, na))
+    rows_b = np.zeros((count, nb))
+    for t in range(count):
+        su = int(rng.integers(qa, na + 1))
+        sv = int(rng.integers(qb, nb + 1))
+        rows_a[t, rng.choice(na, su, replace=False)] = 1.0
+        rows_b[t, rng.choice(nb, sv, replace=False)] = 1.0
+        sizes[:, t] = su, sv
+    return sizes[0], sizes[1], rows_a, rows_b
+
+
+def _bounded(raw: np.ndarray, r):
+    """numpy's integer on [0, r] from each raw 32-bit output (as uint64), and
+    whether numpy rejects that output and draws again (Lemire's method)."""
+    span = r + 1
+    prod = raw * span
+    return prod >> 32, (prod & _U32) < (_U32 - r) % span
+
+
+def _decode_probes(
+    raw: np.ndarray, streams: int, count: int, qa: int, na: int, qb: int, nb: int
+):
+    """``count`` probes of _probe_draws from each of ``streams`` equal slices
+    of ``raw``, and the number of outputs each stream's probes read; no
+    probes (None) when a draw would be rejected.
+
+    A draw on [0, 0] reads nothing.  ``choice(n, s, replace=False)`` runs
+    Floyd's algorithm: for j = n - s .. n - 1 it draws on [0, j] and takes
+    the value unless it is already taken, then j.  It then shuffles with one
+    draw on [0, i] for each i = s - 1 .. 1, which leaves the set as it is.
+    """
+    da, db = int(na > qa), int(nb > qb)
+    per = len(raw) // streams
+    probes = streams * count
+    # row p of each grid below is probe p's a-side, row probes + p its b-side
+    starts = np.empty(2 * probes, dtype=np.int64)
+    sizes = np.empty(2 * probes, dtype=np.int64)
+    used = []
+    for g in range(streams):
+        at = g * per
+        for t in range(g * count, (g + 1) * count):
+            su = qa + (raw.item(at) * (na - qa + 1) >> 32)
+            sv = qb + (raw.item(at + da) * (nb - qb + 1) >> 32)
+            sizes[t], sizes[probes + t] = su, sv
+            at += da + db
+            starts[t] = at
+            # Floyd reads at each step but j = 0, the shuffle s - 1 times
+            at += 2 * su - 1 - (su == na)
+            starts[probes + t] = at
+            at += 2 * sv - 1 - (sv == nb)
+        used.append(at - g * per)
+    heads = starts[:probes] - da - db
+    if (
+        _bounded(raw[heads], np.uint64(na - qa))[1].any()
+        or _bounded(raw[heads + da], np.uint64(nb - qb))[1].any()
+    ):
+        return None, used
+
+    # column j of a row is Floyd step j and, separately, the shuffle's draw
+    # on [0, j]; a row's outputs are its Floyd draws, then the shuffle's
+    n = np.repeat(np.array([na, nb]), probes)[:, None]
+    s = sizes[:, None]
+    width = max(na, nb)
+    j = np.arange(width)
+    low = n - s
+    live = (j >= low) & (j < n)
+    drawn = live & (j >= 1)
+    skip = np.maximum(low, 1)
+    r = j.astype(np.uint64)
+    val, floyd_rejects = _bounded(np.take(raw, starts[:, None] - skip + j, mode="clip"), r)
+    shuffled = (j >= 1) & (j < s)
+    shuffle_at = starts[:, None] + n - skip + s - 1 - j
+    _, shuffle_rejects = _bounded(np.take(raw, shuffle_at, mode="clip"), r)
+    if (drawn & floyd_rejects).any() or (shuffled & shuffle_rejects).any():
+        return None, used
+
+    val = np.where(drawn, val, 0).astype(np.int64)
+    cells = 2 * probes * width
+    flat = np.arange(0, cells, width)[:, None] + val
+    taken = flat[live]
+    # step j takes j itself when its value is already in: drawn at an earlier
+    # step, or an earlier step that took itself, which depends on that step's
+    # own value; pointer doubling follows those links to their end
+    first = np.full(cells, width)
+    np.minimum.at(first, taken, np.broadcast_to(j, live.shape)[live])
+    repeat = (live & (first[flat] < j)).ravel()
+    follow = (live & (val >= low) & (val < j)).ravel() & ~repeat
+    link = np.where(follow, flat.ravel(), np.arange(cells))
+    for _ in range(width.bit_length()):
+        link = link[link]
+    member = np.zeros(cells)
+    member[taken] = 1.0
+    member[repeat[link]] = 1.0
+    member = member.reshape(2 * probes, width)
+    return (sizes[:probes], sizes[probes:], member[:probes, :na], member[probes:, :nb]), used
 
 
 @dataclass(frozen=True)
@@ -84,8 +229,8 @@ def eps_regular_check(
     for each one the extreme sub-densities over subsets of ``b`` are attained
     by the top / bottom vertices by degree, so the verdict is exact and comes
     with a violating witness pair when irregular.  Sampled mode draws
-    ``trials`` random subset pairs and counts their edges in the a x b block;
-    a and b are sets of distinct vertices.
+    ``trials`` random subset pairs (``_probe_draws``) and counts their edges
+    in the a x b block; a and b are sets of distinct vertices.
     """
     a = tuple(a)
     b = tuple(b)
@@ -120,17 +265,19 @@ def eps_regular_check(
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
-    block = _block(col, colour, a, b)
-    for trial in range(trials):
-        su = int(rng.integers(qa, len(a) + 1))
-        sv = int(rng.integers(qb, len(b) + 1))
-        ia = rng.choice(len(a), su, replace=False)
-        ib = rng.choice(len(b), sv, replace=False)
-        d = int(np.count_nonzero(block.take(ia, 0).take(ib, 1))) / (su * sv)
-        if abs(d - base) > eps + _FUZZ:
-            usub = tuple(sorted(a[i] for i in ia))
-            vsub = tuple(sorted(b[i] for i in ib))
-            return RegularityVerdict(False, mode, trial + 1, base, (usub, vsub, d))
+    block = _block(col, colour, a, b).astype(np.float64)
+    done = 0
+    for su, sv, rows_a, rows_b in _probe_draws([rng], trials, qa, len(a), qb, len(b)):
+        dens = (rows_a @ block * rows_b).sum(1) / (su * sv)
+        out = np.flatnonzero(np.abs(dens - base) > eps + _FUZZ)
+        if out.size:
+            t = out[0]
+            usub = tuple(sorted(a[i] for i in np.flatnonzero(rows_a[t])))
+            vsub = tuple(sorted(b[i] for i in np.flatnonzero(rows_b[t])))
+            return RegularityVerdict(
+                False, mode, done + int(t) + 1, base, (usub, vsub, float(dens[t]))
+            )
+        done += len(su)
     return RegularityVerdict(True, mode, trials, base)
 
 
@@ -150,54 +297,57 @@ def pick_regular_subset(col: Colouring, verts, eta: float, trials: int, seed: in
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     rng = np.random.default_rng(base)
     # candidates as sorted positions into verts (so their vertices are sorted
-    # too), each scored on its square of the class's red block
-    candidates = []
-    for _ in range(trials):
-        candidates.append(np.sort(rng.choice(len(verts), size, replace=False)))
-    candidates.append(np.arange(len(verts)))
+    # too), each scored on its square of the class's red block with its own
+    # generator; the class itself comes last
+    candidates = [np.sort(rng.choice(len(verts), size, replace=False)) for _ in range(trials)]
+    rngs = [np.random.default_rng(base + [101, ci]) for ci in range(trials + 1)]
     red = _block(col, RED, verts, verts)
+    scores = _self_regularity_scores(red, candidates, eta, rngs[:trials]) if trials else []
+    scores.append(_self_regularity_score(red, eta, rngs[trials]))
+    candidates.append(np.arange(len(verts)))
     best = None
-    for ci, pos in enumerate(candidates):
-        score = _self_regularity_score(
-            red.take(pos, 0).take(pos, 1), eta, np.random.default_rng(base + [101, ci])
-        )
+    for score, pos in zip(scores, candidates):
         if best is None or score < best[0] - _FUZZ:
-            best = (score, ci, pos)
-    return tuple(verts[i] for i in best[2])
+            best = (score, pos)
+    return tuple(verts[i] for i in best[1])
 
 
-def _loopless_density(block: np.ndarray, iu, iv) -> float | None:
-    """Density of the square 0/1 ``block`` between row positions iu and
-    column positions iv (each without repeats) over admissible ordered pairs
-    only: overlapping sets do not count the |iu ∩ iv| excluded diagonal slots
-    in the denominator, so a complete graph scores exactly 1 at any size.
-    None when no admissible pair exists."""
-    hits = int(np.count_nonzero(block.take(iu, 0).take(iv, 1)))
-    in_u = np.zeros(len(block), dtype=bool)
-    in_u[iu] = True
-    denom = len(iu) * len(iv) - int(np.count_nonzero(in_u[iv]))
-    return hits / denom if denom else None
+def _self_regularity_scores(
+    red: np.ndarray, positions, eta, rngs, probes: int = 24
+) -> list[float]:
+    """For each vertex set W given by its positions (one array per set, all
+    of one length) in the square red 0/1 matrix ``red``, the max sampled
+    deviation |d(U', V') - d(W, W)| over random probe pairs drawn from its
+    own generator in ``rngs``.  Densities are loopless: they count only
+    ordered pairs of distinct vertices, so a complete graph scores exactly 1
+    at any size.  Lower is better; probes with no such pair are skipped."""
+    positions = np.asarray(positions)
+    sets, n = positions.shape
+    q = max(1, math.ceil(eta * n - 1e-9))
+    red = red.astype(np.float64)
+
+    def spread(rows, per_set):
+        # probe rows over the positions of their set -> rows over red
+        out = np.zeros((len(rows), len(red)))
+        out[np.arange(len(rows))[:, None], np.repeat(positions, per_set, 0)] = rows
+        return out
+
+    members = spread(np.ones((sets, n)), 1)
+    # below two vertices no probe has a pair, so the base is never read
+    base = (members @ red * members).sum(1) / max(n * n - n, 1)
+    worst = np.zeros(sets)
+    for su, sv, rows_u, rows_v in _probe_draws(rngs, probes, q, n, q, n):
+        per_set = len(su) // sets
+        hits = (spread(rows_u, per_set) @ red * spread(rows_v, per_set)).sum(1)
+        pairs = su * sv - (rows_u * rows_v).sum(1)
+        dev = np.abs(hits / np.maximum(pairs, 1) - np.repeat(base, per_set))
+        worst = np.maximum(worst, np.where(pairs > 0, dev, 0.0).reshape(sets, -1).max(1))
+    return worst.tolist()
 
 
 def _self_regularity_score(block: np.ndarray, eta, rng, probes: int = 24) -> float:
-    """Max sampled deviation |d(U', V') - d(W, W)| over random probe pairs of
-    the vertex set W whose red 0/1 matrix is ``block``, with loopless
-    normalisation; lower is better.  Degenerate probes with no admissible
-    pair are skipped."""
-    n = len(block)
-    everyone = np.arange(n)
-    base = _loopless_density(block, everyone, everyone)
-    q = max(1, math.ceil(eta * n - 1e-9))
-    worst = 0.0
-    for _ in range(probes):
-        su = int(rng.integers(q, n + 1))
-        sv = int(rng.integers(q, n + 1))
-        iu = rng.choice(n, su, replace=False)
-        iv = rng.choice(n, sv, replace=False)
-        dens = _loopless_density(block, iu, iv)
-        if dens is not None:
-            worst = max(worst, abs(dens - base))
-    return worst
+    """_self_regularity_scores of the whole of one square block."""
+    return _self_regularity_scores(block, [np.arange(len(block))], eta, [rng], probes)[0]
 
 
 @dataclass(frozen=True)

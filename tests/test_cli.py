@@ -196,6 +196,12 @@ class TestLemmasCommand:
         assert code == EXIT_OK
         assert "violations\t0" in text
 
+    def test_lattices_past_the_cap_refused(self, capsys):
+        for argv in (["degprod", "--l", "40", "--k", "3"], ["dichotomy", "--k", "30"]):
+            code, text = run(["lemmas", *argv, "--samples", "10"])
+            assert code == EXIT_USAGE and text == ""
+            assert "cap" in capsys.readouterr().err
+
 
 class TestPipelineCommand:
     def test_trace_and_certificate(self, tmp_path):
@@ -235,15 +241,39 @@ class TestPipelineCommand:
                 "--eta", "0.3", "--delta", "0.3", "--seed", "4"]
         assert run(args) == run(args)
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--eta", "-1"), ("--eta", "1.5"), ("--eta", "nan"), ("--delta", "-0.1"),
+         ("--delta", "2")],
+    )
+    def test_density_parameters_refused_before_reading(self, flag, value, capsys):
+        # the input does not exist, so only a check made before reading it
+        # can name the flag
+        code, text = run(["pipeline", "--input", "/nonexistent/x.knc", "--k", "2",
+                          "--parts", "4", flag, value])
+        assert code == EXIT_USAGE and text == ""
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parts", ["0", "-3", "17"])
+    def test_parts_outside_vertex_range_refused(self, parts, tmp_path, capsys):
+        knc = tmp_path / "r.knc"
+        knc.write_text(run(["construct", "random", "--N", "16", "--seed", "1"])[1])
+        code, text = run(["pipeline", "--input", str(knc), "--k", "2", "--parts", parts])
+        assert code == EXIT_USAGE and text == ""
+        assert "--parts" in capsys.readouterr().err
+
+    def test_parameter_bounds_run(self, tmp_path):
+        knc = tmp_path / "r.knc"
+        knc.write_text(run(["construct", "random", "--N", "16", "--seed", "1"])[1])
+        for extra in (["--parts", "1", "--eta", "0", "--delta", "1"],
+                      ["--parts", "16", "--eta", "1", "--delta", "0"]):
+            code, text = run(["pipeline", "--input", str(knc), "--k", "1", "--steps", "3", *extra])
+            assert code == EXIT_OK and (text.startswith("BOOK") or text == "NOSPINE\n")
+
 
 class TestThreads:
     def test_explicit_threads(self, pentagon_file):
         code, text = run(["--threads", "2", "book", "--k", "2", "--input", pentagon_file])
-        assert code == EXIT_OK and text.splitlines()[0] == "BOOK 0 2 0"
-
-    def test_env_fallback(self, pentagon_file, monkeypatch):
-        monkeypatch.setenv("BOOKRAM_THREADS", "2")
-        code, text = run(["book", "--k", "2", "--input", pentagon_file])
         assert code == EXIT_OK and text.splitlines()[0] == "BOOK 0 2 0"
 
     def test_invalid_threads(self, pentagon_file):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bookram import lemmas
 from bookram.lemmas import (
     _elementary_symmetric_arr,
     degprod_certify,
@@ -191,6 +192,25 @@ class TestDichotomyCertify:
         a = dichotomy_certify(3, 1.0, 5000, seed=9, tol=1e-9)
         b = dichotomy_certify(3, 1.0, 5000, seed=9, tol=1e-9)
         assert a == b
+
+
+class TestLatticeCap:
+    def test_large_lattices_refused(self):
+        with pytest.raises(ValueError, match="cap"):
+            degprod_certify(40, 3, 10, seed=0, tol=1e-9)
+        with pytest.raises(ValueError, match="cap"):
+            dichotomy_certify(30, 1.0, 10, seed=0, tol=1e-9)
+
+    def test_cap_boundary(self, monkeypatch):
+        # 2^5 * 5 = 160 and 3^3 * 3 = 81 coordinates fit a cap of 160; one
+        # more dimension does not
+        monkeypatch.setattr(lemmas, "LATTICE_ENTRY_CAP", 160)
+        assert degprod_certify(5, 2, 10, seed=0, tol=1e-9).violations == 0
+        assert dichotomy_certify(3, 1.0, 10, seed=0, tol=1e-9).violations == 0
+        with pytest.raises(ValueError):
+            degprod_certify(6, 2, 10, seed=0, tol=1e-9)
+        with pytest.raises(ValueError):
+            dichotomy_certify(4, 1.0, 10, seed=0, tol=1e-9)
 
 
 class TestDegprodCertify:

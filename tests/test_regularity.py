@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from bookram.books import max_book, verify_certificate
 from bookram.colouring import BLUE, RED, Colouring, common_pages, mask_of, mono_cliques
 from bookram.constructions import random_colouring
+from bookram import regularity
 from bookram.regularity import (
     EquitablePartition,
     RegularityVerdict,
+    _probe_draws,
     _self_regularity_score,
     balanced_swap_search,
     build_reduced,
@@ -360,6 +362,122 @@ class TestPickRegularSubset:
             if best is None or score < best[0] - 1e-12:
                 best = (score, cand)
         assert pick_regular_subset(col, verts, eta, trials, seed=seed) == best[1]
+
+
+def generator_at(start):
+    """A fresh Generator from a seed, or at a bit-generator state."""
+    if isinstance(start, dict):
+        rng = np.random.default_rng()
+        rng.bit_generator.state = start
+        return rng
+    return np.random.default_rng(start)
+
+
+def loop_probes(start, trials, qa, na, qb, nb):
+    """Per-trial Generator calls: (su, sv, sorted positions, sorted positions)
+    per probe, and the generator state after them."""
+    rng = generator_at(start)
+    probes = []
+    for _ in range(trials):
+        su = int(rng.integers(qa, na + 1))
+        sv = int(rng.integers(qb, nb + 1))
+        ia = sorted(int(i) for i in rng.choice(na, su, replace=False))
+        ib = sorted(int(i) for i in rng.choice(nb, sv, replace=False))
+        probes.append((su, sv, ia, ib))
+    return probes, rng.bit_generator.state
+
+
+def batched_probes(starts, trials, qa, na, qb, nb):
+    """_probe_draws over one generator per start: what loop_probes gives for
+    each start, in order."""
+    rngs = [generator_at(start) for start in starts]
+    probes = [[] for _ in rngs]
+    for su, sv, rows_a, rows_b in _probe_draws(rngs, trials, qa, na, qb, nb):
+        count = len(su) // len(rngs)
+        for t in range(len(su)):
+            ia = np.flatnonzero(rows_a[t]).tolist()
+            ib = np.flatnonzero(rows_b[t]).tolist()
+            probes[t // count].append((int(su[t]), int(sv[t]), ia, ib))
+    return [(got, rng.bit_generator.state) for got, rng in zip(probes, rngs)]
+
+
+@pytest.fixture
+def loop_chunks(monkeypatch):
+    """Counts the chunks _probe_draws hands to the per-trial fallback."""
+    calls = []
+    original = regularity._probe_loop
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(regularity, "_probe_loop", counted)
+    return calls
+
+
+class TestProbeDraws:
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_generator_calls(self, data):
+        # up to 300 trials, so several chunks and the state between them
+        na = data.draw(st.integers(1, 70))
+        nb = data.draw(st.integers(1, 70))
+        qa = data.draw(st.integers(1, na))
+        qb = data.draw(st.integers(1, nb))
+        trials = data.draw(st.integers(0, 300))
+        seed = st.one_of(st.integers(0, 2**32), st.lists(st.integers(0, 9999), max_size=5))
+        seeds = data.draw(st.lists(seed, min_size=1, max_size=3))
+        want = [loop_probes(s, trials, qa, na, qb, nb) for s in seeds]
+        assert batched_probes(seeds, trials, qa, na, qb, nb) == want
+
+    def test_rejected_draw_matches_reference(self, loop_chunks):
+        # this gate's raw stream holds a draw that numpy's bounded integer
+        # rejects, so its one chunk comes from the per-trial calls
+        seed = [13552, 7919, 1, 2, 3]
+        want = [loop_probes(seed, 120, 10, 32, 10, 32)]
+        assert batched_probes([seed], 120, 10, 32, 10, 32) == want
+        assert len(loop_chunks) == 1
+        # next to another generator, the chunk of both comes from the calls
+        want = [loop_probes(s, 120, 10, 32, 10, 32) for s in (4, seed)]
+        assert batched_probes([4, seed], 120, 10, 32, 10, 32) == want
+        assert len(loop_chunks) == 3
+        col = random_colouring(64, 5)
+        a, b = range(32), range(32, 64)
+        for colour in (RED, BLUE):
+            got = eps_regular_check(col, colour, a, b, 0.3, mode="sampled", trials=120, seed=seed)
+            want = reference_sampled_check(col, colour, a, b, 0.3, 120, seed)
+            assert repr(got) == repr(want)
+        assert len(loop_chunks) == 5
+
+    def test_rejected_size_draw(self, loop_chunks):
+        # a state whose next raw output is 0, which a draw on [0, 64] rejects
+        # (0 < 2**32 mod 65); first the a-side size reads it, then the b-side
+        state = np.random.default_rng(3).bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, 0
+        for sizes in ((1, 65, 3, 10), (5, 5, 1, 65)):
+            assert batched_probes([state], 5, *sizes) == [loop_probes(state, 5, *sizes)]
+        assert len(loop_chunks) == 2
+
+    def test_large_population_falls_back(self, loop_chunks):
+        # above 10,000 Generator.choice may shuffle a tail instead of running
+        # Floyd's algorithm; 5,000 of 10,001 takes that path
+        for seed in (0, 1):
+            want = loop_probes(seed, 2, 5000, 10_001, 1, 3)
+            assert batched_probes([seed], 2, 5000, 10_001, 1, 3) == [want]
+        assert len(loop_chunks) == 2
+
+    def test_oversized_probes_raise_like_the_calls(self):
+        col = random_colouring(16, 1)
+        a, b = range(8), range(8, 16)
+        with pytest.raises(ValueError):
+            reference_sampled_check(col, RED, a, b, 1.5, 10, 0)
+        with pytest.raises(ValueError):
+            eps_regular_check(col, RED, a, b, 1.5, mode="sampled", trials=10)
+        with pytest.raises(ValueError):
+            _self_regularity_score(red_matrix(col, tuple(a)), 1.5, np.random.default_rng(0))
+        # no trial draws nothing, so nothing is raised
+        got = eps_regular_check(col, RED, a, b, 1.5, mode="sampled", trials=0)
+        assert repr(got) == repr(reference_sampled_check(col, RED, a, b, 1.5, 0, 0))
 
 
 class TestMakePartition:
