@@ -1,7 +1,8 @@
 """Command-line entry point exposing every subsystem as a subcommand.
 
 Exit codes: 0 success / property holds, 1 property violated or certificate
-rejected, 2 usage or parse error, 3 inconclusive (budget exhausted).
+rejected, 2 usage or parse error, 3 inconclusive (budget exhausted), 4
+internal error (a one-line message, never a traceback).
 Subcommands with a --seed are byte-reproducible; nothing is written outside
 paths given on the command line.
 """
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -135,6 +137,9 @@ def main(argv=None, out=None) -> int:
     except (ValueError, OSError, sat.CnfSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _dispatch(args, out) -> int:
@@ -156,6 +161,11 @@ def _dispatch(args, out) -> int:
         return EXIT_OK
 
     if args.command == "search":
+        # a NaN deadline compares false with every time and would drop the cap
+        if not args.max_seconds >= 0:
+            raise ValueError(f"--max-seconds must be a number >= 0, got {args.max_seconds}")
+        if args.max_nodes < 0:
+            raise ValueError(f"--max-nodes must be >= 0, got {args.max_nodes}")
         budget = search.Budget(args.max_nodes, args.max_seconds)
         result = search.ramsey_book(args.k, args.n, budget)
         upper = "?" if result.upper is None else str(result.upper)
@@ -219,6 +229,9 @@ def _dispatch(args, out) -> int:
         for flag, value in (("--eta", args.eta), ("--delta", args.delta)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{flag} must lie in [0, 1], got {value}")
+        for flag, value in (("--steps", args.steps), ("--t-max", args.t_max)):
+            if value < 0:
+                raise ValueError(f"{flag} must be >= 0, got {value}")
         col = parse_colouring(_read(args.input))
         if not 1 <= args.parts <= col.n:
             raise ValueError(f"--parts must lie in 1..{col.n}, got {args.parts}")

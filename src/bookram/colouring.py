@@ -232,19 +232,6 @@ def clique_pages(rows, candidates: int, inter: int, size: int, bar: int | None =
     if size == 0:
         yield (), inter
         return
-    if size == 1:
-        # no stack: the Ramsey search asks for single picks at every node
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            v = low.bit_length() - 1
-            pages = inter & rows[v]
-            if bar is None:
-                yield (v,), pages
-            elif pages.bit_count() > bar:
-                bar = pages.bit_count()
-                yield (v,), pages
-        return
     last = size - 1
     clique: list[int] = []
     stack: list[tuple[int, int]] = []  # (candidates left, inter) of the open levels

@@ -80,14 +80,28 @@ def _creates_book(adj, u: int, v: int, c: int, k: int, n: int) -> bool:
     Any new book uses the new edge, either inside its spine or joining a page
     to a spine vertex, so only spines through u or v need scanning.  The
     rest of such a spine lies in ``both``, inside each page mask searched, so
-    the kernel's bound holds.
+    the kernel's bound holds.  For k <= 2 such a spine is u or v alone,
+    {u, v}, or u or v with one w from ``both``, so popcounts answer without
+    the kernel.
     """
     adjc = adj[c]
-    both = adjc[u] & adjc[v]
-    if k >= 2:
-        for _ in clique_pages(adjc, both, both, k - 2, n - 1):
+    ru, rv = adjc[u], adjc[v]
+    if k == 1:
+        return ru.bit_count() >= n or rv.bit_count() >= n
+    both = ru & rv
+    if k == 2:
+        if both.bit_count() >= n:
             return True
-    for pages in (adjc[u], adjc[v]):
+        while both:
+            low = both & -both
+            both ^= low
+            rw = adjc[low.bit_length() - 1]
+            if (ru & rw).bit_count() >= n or (rv & rw).bit_count() >= n:
+                return True
+        return False
+    for _ in clique_pages(adjc, both, both, k - 2, n - 1):
+        return True
+    for pages in (ru, rv):
         for _ in clique_pages(adjc, both, pages, k - 1, n - 1):
             return True
     return False

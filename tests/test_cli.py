@@ -4,8 +4,10 @@ import io
 
 import pytest
 
+from bookram import search
 from bookram.cli import (
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATED,
@@ -90,6 +92,37 @@ class TestSearchCommand:
     def test_invalid_parameters(self):
         code, _ = run(["search", "--k", "0", "--n", "1"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-seconds", "nan"), ("--max-seconds", "-1"), ("--max-nodes", "-1")],
+    )
+    def test_budget_flags_refused(self, flag, value, capsys):
+        # a NaN deadline would never be reached, so the search would run to
+        # the node cap however long that takes
+        code, text = run(["search", "--k", "2", "--n", "2", flag, value])
+        assert code == EXIT_USAGE and text == ""
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--max-seconds", "--max-nodes"])
+    def test_zero_budget_is_bounded(self, flag):
+        code, text = run(["search", "--k", "2", "--n", "2", flag, "0"])
+        assert code == EXIT_INCONCLUSIVE
+        lines = dict(l.split("\t") for l in text.splitlines())
+        assert lines["status"] == "bounded" and lines["nodes"] == "0"
+
+    def test_internal_error_is_one_line(self, monkeypatch, capsys):
+        def broken(*args):
+            raise RuntimeError("search produced an invalid witness; pruning is broken")
+
+        monkeypatch.setattr(search, "ramsey_book", broken)
+        code, text = run(["search", "--k", "2", "--n", "1"])
+        assert code == EXIT_INTERNAL and text == ""
+        err = capsys.readouterr().err
+        assert err == (
+            "error: internal: RuntimeError: search produced an invalid witness; "
+            "pruning is broken\n"
+        )
 
 
 class TestVerifyCommand:
@@ -253,6 +286,21 @@ class TestPipelineCommand:
                           "--parts", "4", flag, value])
         assert code == EXIT_USAGE and text == ""
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--steps", "--t-max"])
+    def test_negative_counts_refused_before_reading(self, flag, capsys):
+        code, text = run(["pipeline", "--input", "/nonexistent/x.knc", "--k", "2",
+                          "--parts", "4", flag, "-1"])
+        assert code == EXIT_USAGE and text == ""
+        assert flag in capsys.readouterr().err
+
+    def test_zero_counts_run(self, tmp_path):
+        knc = tmp_path / "r.knc"
+        knc.write_text(run(["construct", "random", "--N", "16", "--seed", "1"])[1])
+        for flag in ("--steps", "--t-max"):
+            code, text = run(["pipeline", "--input", str(knc), "--k", "2", "--parts", "4",
+                              flag, "0"])
+            assert code == EXIT_OK and (text.startswith("BOOK") or text == "NOSPINE\n")
 
     @pytest.mark.parametrize("parts", ["0", "-3", "17"])
     def test_parts_outside_vertex_range_refused(self, parts, tmp_path, capsys):

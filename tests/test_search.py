@@ -1,6 +1,7 @@
 """Branch-and-prune Ramsey search: exact values, soundness, budgets."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,29 @@ class TestRamseyBook:
         assert res.status == EXACT and res.ramsey_number == 10
         assert res.nodes == 804_977
 
+    @pytest.mark.parametrize(
+        "k, n, ramsey, nodes", [(1, 1, 2, 2), (1, 2, 3, 8), (1, 3, 6, 45), (2, 1, 6, 463)]
+    )
+    def test_exact_node_counts(self, k, n, ramsey, nodes):
+        res = ramsey_book(k, n)
+        assert res.status == EXACT and res.ramsey_number == ramsey
+        assert res.nodes == nodes
+
+    @pytest.mark.parametrize(
+        "k, n, max_nodes, lower",
+        [
+            (1, 40, 200_000, 60),
+            # k = 3 takes the clique-kernel book test, not the popcount one
+            (3, 1, 20_000, 9),
+        ],
+    )
+    def test_budgeted_node_counts(self, k, n, max_nodes, lower):
+        res = ramsey_book(k, n, Budget(max_nodes=max_nodes))
+        assert res.status == BOUNDED and res.upper is None
+        assert res.lower == lower
+        assert res.nodes == max_nodes + 1
+        assert not has_mono_book(res.witness, k, n)
+
     def test_budget_reports_bounded(self):
         res = ramsey_book(2, 2, Budget(max_nodes=50))
         assert res.status == BOUNDED
@@ -142,6 +166,30 @@ def book_through_edge(colour_of, size: int, u: int, v: int, c: int, k: int, n: i
         if (u in spine and (v in spine or v in pages)) or (v in spine and u in pages):
             return True
     return False
+
+
+def test_popcount_book_test_matches_brute_force_on_seeded_sweep():
+    # k <= 2 is answered by popcounts over every w in ``both``; a walk that
+    # skipped some w passed 200 hypothesis examples but fails this sweep
+    rng = random.Random(2)
+    for _ in range(1500):
+        size = rng.randint(3, 9)
+        k = rng.randint(1, 2)
+        n = rng.randint(1, 4)
+        colour = {p: rng.choice((None, 0, 1)) for p in itertools.combinations(range(size), 2)}
+        adj = [[0] * size for _ in range(2)]
+        for (u, v), c in colour.items():
+            if c is not None:
+                adj[c][u] |= 1 << v
+                adj[c][v] |= 1 << u
+
+        def colour_of(a, b):
+            return colour[(min(a, b), max(a, b))]
+
+        for (u, v), c in colour.items():
+            if c is not None:
+                expected = book_through_edge(colour_of, size, u, v, c, k, n)
+                assert _creates_book(adj, u, v, c, k, n) == expected, (size, k, n, u, v, c)
 
 
 class TestCreatesBook:
