@@ -10,6 +10,7 @@ paths given on the command line.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import books, constructions, lemmas, regularity, sat, search
@@ -214,7 +215,15 @@ def _dispatch(args, out) -> int:
         return EXIT_VIOLATED
 
     if args.command == "lemmas":
+        # every comparison with NaN is false, so a NaN tolerance or offset
+        # would count no violation at all
+        if not 0 < args.tol < math.inf:
+            raise ValueError(f"--tol must be a finite number > 0, got {args.tol}")
         if args.lemma == "dichotomy":
+            if not math.isfinite(args.bound_offset):
+                raise ValueError(f"--bound-offset must be finite, got {args.bound_offset}")
+            if not 0 <= args.t < math.inf:
+                raise ValueError(f"--t must be a finite number >= 0, got {args.t}")
             report = lemmas.dichotomy_certify(
                 args.k, args.t, args.samples, args.seed, args.tol, args.bound_offset
             )

@@ -146,8 +146,8 @@ def dichotomy_certify(
     """
     if samples < 1 or k < 1:
         raise ValueError("need samples >= 1 and k >= 1")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be a finite number > 0")
     _check_lattice(3, k)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, t, size=(samples, k))
@@ -245,8 +245,8 @@ def degprod_certify(l: int, k: int, samples: int, seed: int, tol: float) -> Lemm
         raise ValueError("need k <= l")
     if samples < 1 or k < 0 or l < 1:
         raise ValueError("need samples >= 1, l >= 1, k >= 0")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be a finite number > 0")
     _check_lattice(2, l)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(samples, l))

@@ -31,13 +31,24 @@ from .colouring import (
 )
 
 _FUZZ = 1e-12
-# random probes decoded per batch: bounds memory at any trial count and lets
-# an early violation skip the rest
-_PROBE_CHUNK = 128
 # Generator.choice(n, s, replace=False) runs Floyd's algorithm up to this
 # population and may shuffle a tail instead above it
 _FLOYD_LIMIT = 10_000
-_U32 = np.uint64(0xFFFFFFFF)
+# probe rows times row width that one decoding call holds: a call keeps about
+# two raw outputs (int64) and a float mark per cell, so this bounds it to a
+# few megabytes, and a gate stage of 28 gates of 32 by 32 vertices with 120
+# trials (the criterion-7 mix's largest) still fits in one call
+_CELL_CAP = 1 << 18
+# trials one decoding call takes from each generator at most, so a gate that
+# fails early skips most of a long run of trials (eps_regular_check's default
+# is 2,000) while the pipeline's 120-trial gates still take one call
+_PROBE_CHUNK = 512
+# numpy draws an integer on [0, r] from a 32-bit output x as x(r + 1) >> 32
+# and draws again when x(r + 1) mod 2**32 falls below entry r (Lemire's
+# method).  Decoded draws have r <= _FLOYD_LIMIT, so x(r + 1) < 2**46 and all
+# of this is exact in int64, with no unsigned operand to promote
+_REDRAW_BELOW = (1 << 32) % np.arange(1, _FLOYD_LIMIT + 2, dtype=np.int64)
+_LOW32 = 0xFFFFFFFF
 
 
 def pair_density(col: Colouring, colour: int, a, b) -> float:
@@ -63,46 +74,55 @@ def _block(col: Colouring, colour: int, a, b) -> np.ndarray:
     return _unpack_rows([adjc[u] for u in a], col.n).take(b, 1)
 
 
-def _probe_draws(rngs, trials: int, qa: int, na: int, qb: int, nb: int):
-    """Yield the subset pairs of ``trials`` random probes from each generator
-    in ``rngs``, in chunks of at most _PROBE_CHUNK probes from each.
+def _probe_floor(eps: float, size: int) -> int:
+    """Least probe size on a set of ``size`` vertices."""
+    return max(1, math.ceil(eps * size - 1e-9))
 
-    Probe t of a generator g is what ``su = g.integers(qa, na + 1)``,
+
+def _probe_draws(rngs, trials: int, qa, na, qb, nb):
+    """Yield ``trials`` random probes from each generator g in ``rngs``, g
+    drawing subsets of at least qa[g] of na[g] and qb[g] of nb[g] positions
+    (scalars apply to every generator).
+
+    Probe t of g is what ``su = g.integers(qa, na + 1)``,
     ``sv = g.integers(qb, nb + 1)``, ``g.choice(na, su, replace=False)`` and
-    ``g.choice(nb, sv, replace=False)`` return, in that order.  A chunk is
-    (su, sv, rows_a, rows_b) with one row per probe, generator by generator,
-    the rows float 0/1 marks of the chosen positions, and it leaves every
-    generator where those calls would.  Chunks are decoded from the raw
-    32-bit outputs the calls read; a chunk where a bounded draw would be
-    rejected, or a population above _FLOYD_LIMIT, is drawn by the calls
-    themselves.
+    ``g.choice(nb, sv, replace=False)`` return, in that order.  A batch is
+    (first, done, su, sv, rows_a, rows_b) for generators first, first + 1, ...
+    and their trials done, done + 1, ...: su and sv have one row per
+    generator and one column per trial, rows_a and rows_b one float 0/1 mark
+    row per probe, padded to the widest set of the batch.  Batches stay
+    within _CELL_CAP cells and _PROBE_CHUNK trials; each generator is left
+    where the calls leave it.
     """
-    if trials > 0 and (qa > na or qb > nb):
-        raise ValueError(f"probes of at least {qa} and {qb} do not fit sets of {na} and {nb}")
-    # no probe reads more raw outputs than this
-    bound = 2 + 2 * na + 2 * nb
-    for done in range(0, trials, _PROBE_CHUNK):
-        count = min(_PROBE_CHUNK, trials - done)
-        chunk = None
-        if max(na, nb) <= _FLOYD_LIMIT:
-            states = [g.bit_generator.state for g in rngs]
-            raw = np.concatenate(
-                [g.integers(0, 2**32, size=count * bound, dtype=np.uint32) for g in rngs]
+    streams = len(rngs)
+    qa, na, qb, nb = (
+        np.broadcast_to(np.asarray(x, dtype=np.int64), (streams,)) for x in (qa, na, qb, nb)
+    )
+    if trials <= 0:
+        return
+    if ((qa > na) | (qb > nb)).any():
+        raise ValueError("probes do not fit their sets")
+    width = np.maximum(na, nb).tolist()
+    rows = 2 * min(trials, _PROBE_CHUNK)
+    lo = 0
+    while lo < streams:
+        hi, wide = lo + 1, width[lo]
+        while hi < streams and rows * (hi + 1 - lo) * max(wide, width[hi]) <= _CELL_CAP:
+            wide = max(wide, width[hi])
+            hi += 1
+        # a single generator above the cap takes fewer trials a call
+        step = max(1, min(trials, _PROBE_CHUNK, _CELL_CAP // (2 * wide * (hi - lo))))
+        part = slice(lo, hi)
+        for done in range(0, trials, step):
+            yield (lo, done) + _decode_probes(
+                rngs[part], min(step, trials - done), qa[part], na[part], qb[part], nb[part]
             )
-            chunk, used = _decode_probes(raw.astype(np.uint64), len(rngs), count, qa, na, qb, nb)
-            for g, state, reads in zip(rngs, states, used):
-                g.bit_generator.state = state
-                if chunk is not None:
-                    g.integers(0, 2**32, size=reads, dtype=np.uint32)
-        if chunk is None:
-            parts = [_probe_loop(g, count, qa, na, qb, nb) for g in rngs]
-            chunk = tuple(np.concatenate(p) for p in zip(*parts))
-        yield chunk
+        lo = hi
 
 
 def _probe_loop(rng, count: int, qa: int, na: int, qb: int, nb: int):
-    """One generator's part of a _probe_draws chunk, from the Generator calls
-    themselves."""
+    """One generator's ``count`` probes of _probe_draws, from the Generator
+    calls themselves."""
     sizes = np.empty((2, count), dtype=np.int64)
     rows_a = np.zeros((count, na))
     rows_b = np.zeros((count, nb))
@@ -115,90 +135,208 @@ def _probe_loop(rng, count: int, qa: int, na: int, qb: int, nb: int):
     return sizes[0], sizes[1], rows_a, rows_b
 
 
-def _bounded(raw: np.ndarray, r):
-    """numpy's integer on [0, r] from each raw 32-bit output (as uint64), and
-    whether numpy rejects that output and draws again (Lemire's method)."""
-    span = r + 1
-    prod = raw * span
-    return prod >> 32, (prod & _U32) < (_U32 - r) % span
-
-
-def _decode_probes(
-    raw: np.ndarray, streams: int, count: int, qa: int, na: int, qb: int, nb: int
-):
-    """``count`` probes of _probe_draws from each of ``streams`` equal slices
-    of ``raw``, and the number of outputs each stream's probes read; no
-    probes (None) when a draw would be rejected.
+def _decode_probes(rngs, count: int, qa, na, qb, nb):
+    """(su, sv, rows_a, rows_b) of ``count`` probes from each generator, as
+    _probe_draws gives them, decoded from the raw 32-bit outputs the calls
+    read.  A generator whose draws include one that numpy rejects, or with a
+    side above _FLOYD_LIMIT, is drawn by the calls themselves instead.
 
     A draw on [0, 0] reads nothing.  ``choice(n, s, replace=False)`` runs
     Floyd's algorithm: for j = n - s .. n - 1 it draws on [0, j] and takes
     the value unless it is already taken, then j.  It then shuffles with one
     draw on [0, i] for each i = s - 1 .. 1, which leaves the set as it is.
     """
-    da, db = int(na > qa), int(nb > qb)
-    per = len(raw) // streams
-    probes = streams * count
-    # row p of each grid below is probe p's a-side, row probes + p its b-side
-    starts = np.empty(2 * probes, dtype=np.int64)
-    sizes = np.empty(2 * probes, dtype=np.int64)
-    used = []
-    for g in range(streams):
-        at = g * per
-        for t in range(g * count, (g + 1) * count):
-            su = qa + (raw.item(at) * (na - qa + 1) >> 32)
-            sv = qb + (raw.item(at + da) * (nb - qb + 1) >> 32)
-            sizes[t], sizes[probes + t] = su, sv
-            at += da + db
-            starts[t] = at
-            # Floyd reads at each step but j = 0, the shuffle s - 1 times
-            at += 2 * su - 1 - (su == na)
-            starts[probes + t] = at
-            at += 2 * sv - 1 - (sv == nb)
-        used.append(at - g * per)
-    heads = starts[:probes] - da - db
-    if (
-        _bounded(raw[heads], np.uint64(na - qa))[1].any()
-        or _bounded(raw[heads + da], np.uint64(nb - qb))[1].any()
-    ):
-        return None, used
+    wide = np.maximum(na, nb) > _FLOYD_LIMIT
+    if wide.any():
+        streams = len(rngs)
+        probes = (
+            np.empty((streams, count), dtype=np.int64),
+            np.empty((streams, count), dtype=np.int64),
+            np.zeros((streams, count, int(na.max()))),
+            np.zeros((streams, count, int(nb.max()))),
+        )
+        fast = np.flatnonzero(~wide)
+        if fast.size:
+            su, sv, rows_a, rows_b = _decode_probes(
+                [rngs[g] for g in fast], count, qa[fast], na[fast], qb[fast], nb[fast]
+            )
+            probes[0][fast], probes[1][fast] = su, sv
+            probes[2][fast, :, : rows_a.shape[2]] = rows_a
+            probes[3][fast, :, : rows_b.shape[2]] = rows_b
+        redo = np.flatnonzero(wide)
+    else:
+        starts = [g.bit_generator.state for g in rngs]
+        raw, base, drawn = _raw_outputs(rngs, starts, count * (2 + 2 * (na + nb)))
+        probes, ends, rejected = _decode_outputs(raw, base, count, qa, na, qb, nb)
+        for g, rng in enumerate(rngs):
+            if rejected[g]:
+                rng.bit_generator.state = starts[g]
+            else:
+                _leave_at(rng, starts[g], raw, int(base[g]), drawn[g], int(ends[g]))
+        redo = np.flatnonzero(rejected)
+    for g in redo.tolist():
+        a, b = int(na[g]), int(nb[g])
+        su, sv, rows_a, rows_b = _probe_loop(rngs[g], count, int(qa[g]), a, int(qb[g]), b)
+        probes[0][g], probes[1][g], probes[2][g, :, :a], probes[3][g, :, :b] = su, sv, rows_a, rows_b
+    return probes
 
-    # column j of a row is Floyd step j and, separately, the shuffle's draw
-    # on [0, j]; a row's outputs are its Floyd draws, then the shuffle's
-    n = np.repeat(np.array([na, nb]), probes)[:, None]
-    s = sizes[:, None]
-    width = max(na, nb)
-    j = np.arange(width)
+
+def _raw_outputs(gens, starts, words):
+    """At least words[g] of each generator's next 32-bit outputs, as int64
+    in one array, where each generator's run begins, and how many 64-bit
+    outputs each drew.  A PCG64 output gives its low half first and keeps
+    the high half for the next read (``has_uint32``, ``uinteger``); each run
+    sits behind one padding output whose high half is that kept value."""
+    drawn = [(need + 1) // 2 for need in words.tolist()]
+    pad = np.cumsum([0] + [2 + 2 * d for d in drawn])
+    raw = np.empty(pad[-1], dtype=np.int64)
+    for g, state, d, at in zip(gens, starts, drawn, pad.tolist()):
+        raw[at], raw[at + 1] = 0, state["uinteger"]
+        out = g.bit_generator.random_raw(d).astype("<u8", copy=False)
+        raw[at + 2 : at + 2 + 2 * d] = out.view("<u4")
+    pending = np.array([state["has_uint32"] for state in starts])
+    return raw, pad[:-1] + 2 - pending, drawn
+
+
+def _leave_at(gen, start, raw, base: int, drawn: int, end: int):
+    """Move a generator that drew ``drawn`` outputs for a run beginning at
+    ``base`` in ``raw`` to where reading that run up to ``end`` leaves it."""
+    # 32-bit outputs read past the kept half: an odd count keeps a high half
+    fresh = end - base - start["has_uint32"]
+    used = (fresh + 1) // 2
+    bg = gen.bit_generator
+    bg.advance(used - drawn)
+    state = bg.state
+    state["has_uint32"] = fresh & 1
+    # numpy keeps the high half of the last output drawn, or the old value
+    state["uinteger"] = int(raw[base + start["has_uint32"] + 2 * used - 1])
+    bg.state = state
+
+
+def _decode_outputs(raw, base, count: int, qa, na, qb, nb):
+    """The probes of _decode_probes for generators whose 32-bit outputs
+    begin at ``base`` in ``raw``: ((su, sv, rows_a, rows_b), where each
+    generator's reads end, which generators hit a rejected draw)."""
+    streams = len(base)
+    da, db = (na > qa).astype(np.int64), (nb > qb).astype(np.int64)
+    span = np.stack([na - qa + 1, nb - qb + 1])
+    # a side of size s reads s Floyd draws (s - 1 when s = n, as the draw on
+    # [0, 0] reads nothing) and s - 1 shuffle draws; reads[origin + u] is that
+    # count for a size draw of value u, and on the a side it also counts the
+    # trial's da + db size draws
+    origin = (np.cumsum(span) - span.ravel()).reshape(2, streams)
+    owner = np.repeat(np.arange(2 * streams), span.ravel())
+    size = np.concatenate([qa, qb])[owner] + np.arange(len(owner)) - origin.ravel()[owner]
+    reads = 2 * size - 1 - (size == np.concatenate([na, nb])[owner])
+    reads[owner < streams] += (da + db)[owner[owner < streams]]
+
+    # walk every generator's trials in lockstep, one step per trial
+    shift = np.stack([np.zeros_like(da), da])
+    heads = np.empty((count + 1, streams), dtype=np.int64)
+    heads[0] = base
+    drawn = np.empty((count, 2, streams), dtype=np.int64)
+    for t in range(count):
+        np.right_shift(raw.take(heads[t] + shift) * span, 32, out=drawn[t])
+        step = reads.take(drawn[t] + origin)
+        heads[t + 1] = heads[t] + step[0] + step[1]
+    first = heads[:count].T
+    rejected = np.zeros(streams, dtype=bool)
+    for side in (0, 1):
+        x = raw.take(first + shift[side][:, None]) * span[side][:, None]
+        rejected |= ((x & _LOW32) < _REDRAW_BELOW[span[side] - 1][:, None]).any(1)
+
+    su = qa[:, None] + drawn[:, 0].T
+    sv = qb[:, None] + drawn[:, 1].T
+    # one row per probe side: the a sides of every generator's trials, then
+    # the b sides
+    a_at = first + (da + db)[:, None]
+    b_at = a_at + 2 * su - 1 - (su == na[:, None])
+    marks, bad = _floyd_marks(
+        raw,
+        np.concatenate([np.repeat(na, count), np.repeat(nb, count)]),
+        np.concatenate([su.ravel(), sv.ravel()]),
+        np.concatenate([a_at.ravel(), b_at.ravel()]),
+    )
+    rejected[np.flatnonzero(bad) % (streams * count) // count] = True
+    marks = marks.reshape(2, streams, count, -1)
+    rows_a = marks[0, :, :, : na.max()].astype(np.float64)
+    rows_b = marks[1, :, :, : nb.max()].astype(np.float64)
+    return (su, sv, rows_a, rows_b), heads[count], rejected
+
+
+def _floyd_marks(raw, n, s, at):
+    """For each row r, 0/1 marks of the positions ``choice(n[r], s[r],
+    replace=False)`` returns when its draws read the outputs of ``raw`` from
+    at[r] on, and whether one of those draws is rejected."""
+    width = int(n.max())
+    # rows by size, largest first, so the rows still drawing at Floyd step
+    # low + k (and the shuffle's draw on [0, k]) are a prefix
+    order = np.argsort(-s)
+    n, s, at = n[order], s[order], at[order]
     low = n - s
-    live = (j >= low) & (j < n)
-    drawn = live & (j >= 1)
     skip = np.maximum(low, 1)
-    r = j.astype(np.uint64)
-    val, floyd_rejects = _bounded(np.take(raw, starts[:, None] - skip + j, mode="clip"), r)
-    shuffled = (j >= 1) & (j < s)
-    shuffle_at = starts[:, None] + n - skip + s - 1 - j
-    _, shuffle_rejects = _bounded(np.take(raw, shuffle_at, mode="clip"), r)
-    if (drawn & floyd_rejects).any() or (shuffled & shuffle_rejects).any():
-        return None, used
+    # step low + k reads output floyd_at + k, so offset views of raw and of
+    # the thresholds serve a whole column
+    floyd_at = at + low - skip
+    shuffle_at = at + n - skip + s - 1
+    row_at = order * width
+    low_at = row_at + low
+    live = np.searchsorted(-s, -np.arange(s[0]), side="left")
+    marks = np.zeros(len(s) * width, dtype=bool)
+    bad = np.zeros(len(s), dtype=bool)
+    for k, c in enumerate(live.tolist()):
+        x = raw[k:].take(floyd_at[:c])
+        x *= low[:c] + (k + 1)
+        cell = row_at[:c] + (x >> 32)
+        marks[np.where(marks.take(cell), low_at[:c] + k, cell)] = True
+        x &= _LOW32
+        bad[:c] |= x < _REDRAW_BELOW[k:].take(low[:c])
+        if k:
+            x = raw.take(shuffle_at[:c] - k)
+            x *= k + 1
+            x &= _LOW32
+            bad[:c] |= x < _REDRAW_BELOW[k]
+    rejected = np.empty_like(bad)
+    rejected[order] = bad
+    return marks.reshape(len(s), width), rejected
 
-    val = np.where(drawn, val, 0).astype(np.int64)
-    cells = 2 * probes * width
-    flat = np.arange(0, cells, width)[:, None] + val
-    taken = flat[live]
-    # step j takes j itself when its value is already in: drawn at an earlier
-    # step, or an earlier step that took itself, which depends on that step's
-    # own value; pointer doubling follows those links to their end
-    first = np.full(cells, width)
-    np.minimum.at(first, taken, np.broadcast_to(j, live.shape)[live])
-    repeat = (live & (first[flat] < j)).ravel()
-    follow = (live & (val >= low) & (val < j)).ravel() & ~repeat
-    link = np.where(follow, flat.ravel(), np.arange(cells))
-    for _ in range(width.bit_length()):
-        link = link[link]
-    member = np.zeros(cells)
-    member[taken] = 1.0
-    member[repeat[link]] = 1.0
-    member = member.reshape(2 * probes, width)
-    return (sizes[:probes], sizes[probes:], member[:probes, :na], member[probes:, :nb]), used
+
+def _stacked_hits(blocks, rows_a, rows_b) -> np.ndarray:
+    """Edges of each 0/1 block between each of its probe pairs: block g
+    against rows_a[g] and rows_b[g], the blocks zero-padded to the rows."""
+    stack = np.zeros((len(blocks), rows_a.shape[2], rows_b.shape[2]))
+    for g, block in enumerate(blocks):
+        stack[g, : block.shape[0], : block.shape[1]] = block
+    return (rows_a @ stack * rows_b).sum(2)
+
+
+def _sampled_gates(blocks, eps: float, trials: int, seeds) -> list:
+    """Sampled regularity of each 0/1 block, its probes drawn from a
+    generator of its own seed: the first probe whose density deviates from
+    the block's by more than eps, as (its trial number from 1, its row and
+    column positions, its density), or None when no trial does."""
+    na = [b.shape[0] for b in blocks]
+    nb = [b.shape[1] for b in blocks]
+    qa = [_probe_floor(eps, n) for n in na]
+    qb = [_probe_floor(eps, n) for n in nb]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    base = np.array([int(b.sum()) / b.size for b in blocks])
+    found = [None] * len(blocks)
+    for lo, done, su, sv, rows_a, rows_b in _probe_draws(rngs, trials, qa, na, qb, nb):
+        dens = _stacked_hits(blocks[lo : lo + len(su)], rows_a, rows_b) / (su * sv)
+        out = np.abs(dens - base[lo : lo + len(su), None]) > eps + _FUZZ
+        for g in np.flatnonzero(out.any(1)).tolist():
+            if found[lo + g] is None:
+                t = int(out[g].argmax())
+                found[lo + g] = (
+                    done + t + 1,
+                    np.flatnonzero(rows_a[g, t]),
+                    np.flatnonzero(rows_b[g, t]),
+                    float(dens[g, t]),
+                )
+        if None not in found:
+            break
+    return found
 
 
 @dataclass(frozen=True)
@@ -235,8 +373,8 @@ def eps_regular_check(
     a = tuple(a)
     b = tuple(b)
     base = pair_density(col, colour, a, b)
-    qa = max(1, math.ceil(eps * len(a) - 1e-9))
-    qb = max(1, math.ceil(eps * len(b) - 1e-9))
+    qa = _probe_floor(eps, len(a))
+    qb = _probe_floor(eps, len(b))
     adjc = col.adj[colour]
     if mode == "exhaustive":
         if len(a) > 14 or len(b) > 14:
@@ -264,21 +402,13 @@ def eps_regular_check(
         return RegularityVerdict(True, mode, checked, base)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    block = _block(col, colour, a, b).astype(np.float64)
-    done = 0
-    for su, sv, rows_a, rows_b in _probe_draws([rng], trials, qa, len(a), qb, len(b)):
-        dens = (rows_a @ block * rows_b).sum(1) / (su * sv)
-        out = np.flatnonzero(np.abs(dens - base) > eps + _FUZZ)
-        if out.size:
-            t = out[0]
-            usub = tuple(sorted(a[i] for i in np.flatnonzero(rows_a[t])))
-            vsub = tuple(sorted(b[i] for i in np.flatnonzero(rows_b[t])))
-            return RegularityVerdict(
-                False, mode, done + int(t) + 1, base, (usub, vsub, float(dens[t]))
-            )
-        done += len(su)
-    return RegularityVerdict(True, mode, trials, base)
+    (found,) = _sampled_gates([_block(col, colour, a, b)], eps, trials, [seed])
+    if found is None:
+        return RegularityVerdict(True, mode, trials, base)
+    t, rows, cols, dens = found
+    usub = tuple(sorted(a[i] for i in rows))
+    vsub = tuple(sorted(b[i] for i in cols))
+    return RegularityVerdict(False, mode, t, base, (usub, vsub, dens))
 
 
 def pick_regular_subset(col: Colouring, verts, eta: float, trials: int, seed: int = 0):
@@ -291,63 +421,62 @@ def pick_regular_subset(col: Colouring, verts, eta: float, trials: int, seed: in
     verts = tuple(sorted(verts))
     if len(verts) < 2:
         raise ValueError("class must have at least 2 vertices")
-    size = max(2, (len(verts) + 1) // 2)
-    if size >= len(verts):
-        return verts
-    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    rng = np.random.default_rng(base)
-    # candidates as sorted positions into verts (so their vertices are sorted
-    # too), each scored on its square of the class's red block with its own
-    # generator; the class itself comes last
-    candidates = [np.sort(rng.choice(len(verts), size, replace=False)) for _ in range(trials)]
-    rngs = [np.random.default_rng(base + [101, ci]) for ci in range(trials + 1)]
-    red = _block(col, RED, verts, verts)
-    scores = _self_regularity_scores(red, candidates, eta, rngs[:trials]) if trials else []
-    scores.append(_self_regularity_score(red, eta, rngs[trials]))
-    candidates.append(np.arange(len(verts)))
-    best = None
-    for score, pos in zip(scores, candidates):
-        if best is None or score < best[0] - _FUZZ:
-            best = (score, pos)
-    return tuple(verts[i] for i in best[1])
+    return _regular_subsets(col, [verts], eta, trials, [seed])[0]
 
 
-def _self_regularity_scores(
-    red: np.ndarray, positions, eta, rngs, probes: int = 24
-) -> list[float]:
-    """For each vertex set W given by its positions (one array per set, all
-    of one length) in the square red 0/1 matrix ``red``, the max sampled
-    deviation |d(U', V') - d(W, W)| over random probe pairs drawn from its
-    own generator in ``rngs``.  Densities are loopless: they count only
-    ordered pairs of distinct vertices, so a complete graph scores exactly 1
-    at any size.  Lower is better; probes with no such pair are skipped."""
-    positions = np.asarray(positions)
-    sets, n = positions.shape
-    q = max(1, math.ceil(eta * n - 1e-9))
-    red = red.astype(np.float64)
+def _regular_subsets(col: Colouring, classes, eta: float, trials: int, seeds) -> list:
+    """pick_regular_subset of each class (a sorted tuple of vertices; one
+    below three vertices is its own pick) with its seed, the candidates of
+    every class scored in one batch."""
+    plans, blocks, rngs = [], [], []
+    for verts, seed in zip(classes, seeds):
+        size = max(2, (len(verts) + 1) // 2)
+        if size >= len(verts):
+            plans.append((verts, None))
+            continue
+        base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+        rng = np.random.default_rng(base)
+        # candidates as sorted positions into verts (so their vertices are
+        # sorted too), each scored with its own generator; the class itself
+        # comes last
+        cands = [np.sort(rng.choice(len(verts), size, replace=False)) for _ in range(trials)]
+        cands.append(np.arange(len(verts)))
+        red = _block(col, RED, verts, verts)
+        blocks += [red.take(pos, 0).take(pos, 1) for pos in cands]
+        rngs += [np.random.default_rng(base + [101, ci]) for ci in range(trials + 1)]
+        plans.append((verts, cands))
+    scores = iter(_self_regularity_scores(blocks, eta, rngs))
+    picks = []
+    for verts, cands in plans:
+        if cands is None:
+            picks.append(verts)
+            continue
+        best = None
+        for pos, score in zip(cands, scores):
+            if best is None or score < best[0] - _FUZZ:
+                best = (score, pos)
+        picks.append(tuple(verts[i] for i in best[1]))
+    return picks
 
-    def spread(rows, per_set):
-        # probe rows over the positions of their set -> rows over red
-        out = np.zeros((len(rows), len(red)))
-        out[np.arange(len(rows))[:, None], np.repeat(positions, per_set, 0)] = rows
-        return out
 
-    members = spread(np.ones((sets, n)), 1)
+def _self_regularity_scores(blocks, eta, rngs, probes: int = 24) -> list[float]:
+    """For each square red 0/1 block, the max sampled deviation
+    |d(U', V') - d(W, W)| over random probe pairs drawn from its own
+    generator in ``rngs``.  Densities are loopless: they count only ordered
+    pairs of distinct vertices, so a complete graph scores exactly 1 at any
+    size.  Lower is better; probes with no such pair are skipped."""
+    n = [len(b) for b in blocks]
+    q = [_probe_floor(eta, size) for size in n]
     # below two vertices no probe has a pair, so the base is never read
-    base = (members @ red * members).sum(1) / max(n * n - n, 1)
-    worst = np.zeros(sets)
-    for su, sv, rows_u, rows_v in _probe_draws(rngs, probes, q, n, q, n):
-        per_set = len(su) // sets
-        hits = (spread(rows_u, per_set) @ red * spread(rows_v, per_set)).sum(1)
-        pairs = su * sv - (rows_u * rows_v).sum(1)
-        dev = np.abs(hits / np.maximum(pairs, 1) - np.repeat(base, per_set))
-        worst = np.maximum(worst, np.where(pairs > 0, dev, 0.0).reshape(sets, -1).max(1))
+    base = np.array([int(b.sum()) / max(size * size - size, 1) for b, size in zip(blocks, n)])
+    worst = np.zeros(len(blocks))
+    for lo, _, su, sv, rows_u, rows_v in _probe_draws(rngs, probes, q, n, q, n):
+        part = slice(lo, lo + len(su))
+        hits = _stacked_hits(blocks[part], rows_u, rows_v)
+        pairs = su * sv - (rows_u * rows_v).sum(2)
+        dev = np.abs(hits / np.maximum(pairs, 1) - base[part, None])
+        worst[part] = np.maximum(worst[part], np.where(pairs > 0, dev, 0.0).max(1))
     return worst.tolist()
-
-
-def _self_regularity_score(block: np.ndarray, eta, rng, probes: int = 24) -> float:
-    """_self_regularity_scores of the whole of one square block."""
-    return _self_regularity_scores(block, [np.arange(len(block))], eta, [rng], probes)[0]
 
 
 @dataclass(frozen=True)
@@ -460,16 +589,13 @@ def make_partition(
     subsets chosen by pick_regular_subset (a singleton class is its own
     subset)."""
     classes, _, _ = balanced_swap_search(col, m, seed, steps)
-    subsets = []
-    for idx, cl in enumerate(classes):
-        if len(cl) < 2:
-            subsets.append(tuple(cl))
-        else:
-            subsets.append(
-                pick_regular_subset(
-                    col, tuple(cl), eta, subset_trials, seed=_derive_seed(seed, idx)
-                )
-            )
+    subsets = _regular_subsets(
+        col,
+        [tuple(cl) for cl in classes],
+        eta,
+        subset_trials,
+        [_derive_seed(seed, idx) for idx in range(len(classes))],
+    )
     return EquitablePartition(
         tuple(tuple(cl) for cl in classes), tuple(subsets), eta
     )
@@ -563,38 +689,34 @@ def build_reduced(
         vcols.append(RED if red_inside >= blue_inside else BLUE)
 
     states: list[list[int | None]] = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            agree = (
-                abs(d_wv[i][j] - d_vv[i][j]) <= eta + _FUZZ
-                and abs(d_wv[j][i] - d_vv[i][j]) <= eta + _FUZZ
-                and abs(d_ww[i][j] - d_vv[i][j]) <= eta + _FUZZ
-            )
-            regular = agree
-            if agree:
-                pairs = (
-                    (classes[i], classes[j]),
-                    (subsets[i], classes[j]),
-                    (subsets[j], classes[i]),
-                    (subsets[i], subsets[j]),
-                )
-                for idx, (x, y) in enumerate(pairs):
-                    verdict = eps_regular_check(
-                        col,
-                        RED,
-                        x,
-                        y,
-                        eta,
-                        mode="sampled",
-                        trials=trials,
-                        seed=_derive_seed(seed, i, j, idx),
-                    )
-                    if not verdict.regular:
-                        regular = False
-                        break
-            if regular:
-                colour = RED if d_vv[i][j] >= 1.0 - delta - _FUZZ else BLUE
-                states[i][j] = states[j][i] = colour
+    alive = [
+        (i, j)
+        for i in range(m)
+        for j in range(i + 1, m)
+        if abs(d_wv[i][j] - d_vv[i][j]) <= eta + _FUZZ
+        and abs(d_wv[j][i] - d_vv[i][j]) <= eta + _FUZZ
+        and abs(d_ww[i][j] - d_vv[i][j]) <= eta + _FUZZ
+    ]
+    # gate idx of an edge is drawn only when it passed gates 0 .. idx - 1;
+    # each stage scores the gates of every edge still alive in one batch
+    for idx in range(4):
+        if not alive:
+            break
+        gates = []
+        for i, j in alive:
+            x, y = (
+                (classes[i], classes[j]),
+                (subsets[i], classes[j]),
+                (subsets[j], classes[i]),
+                (subsets[i], subsets[j]),
+            )[idx]
+            gates.append(red.take(x, 0).take(y, 1))
+        seeds = [_derive_seed(seed, i, j, idx) for i, j in alive]
+        found = _sampled_gates(gates, eta, trials, seeds)
+        alive = [edge for edge, bad in zip(alive, found) if bad is None]
+    for i, j in alive:
+        colour = RED if d_vv[i][j] >= 1.0 - delta - _FUZZ else BLUE
+        states[i][j] = states[j][i] = colour
 
     deleted: set[int] = set()
     threshold = math.sqrt(eta) * m

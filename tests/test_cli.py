@@ -222,6 +222,38 @@ class TestLemmasCommand:
         )
         assert code == EXIT_VIOLATED
 
+    PERTURBED = ["lemmas", "dichotomy", "--k", "2", "--samples", "2000", "--seed", "2",
+                 "--bound-offset", "1e-3"]
+
+    def test_perturbed_counts_violations(self):
+        code, text = run(self.PERTURBED)
+        assert code == EXIT_VIOLATED and "violations\t173\n" in text
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1e-9"),
+         ("--bound-offset", "nan"), ("--bound-offset", "inf"), ("--bound-offset", "-inf"),
+         ("--t", "nan"), ("--t", "inf"), ("--t", "-1")],
+    )
+    def test_flags_that_certify_anything_refused(self, flag, value, capsys):
+        # the perturbed run has 173 violations; none of these may hide them
+        # or end in a traceback
+        code, text = run(self.PERTURBED + [f"{flag}={value}"])
+        assert code == EXIT_USAGE and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_degprod_tolerance_refused(self, value, capsys):
+        code, text = run(["lemmas", "degprod", "--l", "4", "--k", "2", "--samples", "10",
+                          "--tol", value])
+        assert code == EXIT_USAGE and text == ""
+        assert "--tol" in capsys.readouterr().err
+
+    def test_zero_t_runs(self):
+        code, text = run(["lemmas", "dichotomy", "--k", "2", "--samples", "10", "--t", "0"])
+        assert code == EXIT_OK and "violations\t0" in text
+
     def test_degprod_clean(self):
         code, text = run(
             ["lemmas", "degprod", "--l", "6", "--k", "3", "--samples", "2000", "--seed", "3"]

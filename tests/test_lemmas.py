@@ -188,6 +188,14 @@ class TestDichotomyCertify:
         value = dichotomy_value(report.worst_witness, 1.0)
         assert value - (2 * 0.25 + 1e-3) == pytest.approx(report.worst_margin, abs=1e-12)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_tolerance_outside_range_refused(self, tol):
+        # a NaN or infinite tolerance would pass every margin
+        with pytest.raises(ValueError, match="tolerance"):
+            dichotomy_certify(2, 1.0, 100, seed=1, tol=tol, bound_offset=1e-3)
+        with pytest.raises(ValueError, match="tolerance"):
+            degprod_certify(3, 2, 100, seed=1, tol=tol)
+
     def test_report_determinism(self):
         a = dichotomy_certify(3, 1.0, 5000, seed=9, tol=1e-9)
         b = dichotomy_certify(3, 1.0, 5000, seed=9, tol=1e-9)

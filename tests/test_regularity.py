@@ -17,7 +17,8 @@ from bookram.regularity import (
     EquitablePartition,
     RegularityVerdict,
     _probe_draws,
-    _self_regularity_score,
+    _sampled_gates,
+    _self_regularity_scores,
     balanced_swap_search,
     build_reduced,
     eps_regular_check,
@@ -141,6 +142,11 @@ def reference_swap_search(col, m, seed, steps):
     return classes, initial, total
 
 
+def _self_regularity_score(block, eta, rng):
+    """The self-regularity score of one square block, drawn from ``rng``."""
+    return _self_regularity_scores([block], eta, [rng])[0]
+
+
 def red_matrix(col, verts):
     """0/1 red adjacency among ``verts``, read edge by edge."""
     return np.array(
@@ -262,6 +268,22 @@ class TestEpsRegularCheck:
         # repr also pins the Python types of the witness
         assert repr(got) == repr(want)
 
+    def test_sampled_stops_after_the_violating_chunk(self, monkeypatch):
+        # a long run of trials is decoded a chunk at a time, and nothing
+        # after the chunk that holds the first violation
+        counts = []
+        original = regularity._decode_probes
+        monkeypatch.setattr(
+            regularity, "_decode_probes", lambda *args: counts.append(args[1]) or original(*args)
+        )
+        col = matching_colouring(16)
+        got = eps_regular_check(col, RED, range(16), range(16, 32), 0.05, mode="sampled", trials=2000)
+        assert not got.regular and got.trials <= regularity._PROBE_CHUNK
+        assert counts == [regularity._PROBE_CHUNK]
+        counts.clear()
+        got = eps_regular_check(col, RED, range(16), range(16, 32), 0.9, mode="sampled", trials=2000)
+        assert got.regular and sum(counts) == 2000 and max(counts) == regularity._PROBE_CHUNK
+
     def test_sampled_matches_reference_on_irregular_pairs(self):
         # the matching and two-block pairs fail in some trial, so the
         # witnesses and trial counts are compared, not just "regular"
@@ -296,8 +318,6 @@ class TestPickRegularSubset:
         assert got == first
 
     def test_chosen_score_at_most_median(self):
-        from bookram.regularity import _self_regularity_score
-
         col = random_colouring(64, 21)
         verts = tuple(range(16))
         trials = 9
@@ -392,12 +412,11 @@ def batched_probes(starts, trials, qa, na, qb, nb):
     each start, in order."""
     rngs = [generator_at(start) for start in starts]
     probes = [[] for _ in rngs]
-    for su, sv, rows_a, rows_b in _probe_draws(rngs, trials, qa, na, qb, nb):
-        count = len(su) // len(rngs)
-        for t in range(len(su)):
-            ia = np.flatnonzero(rows_a[t]).tolist()
-            ib = np.flatnonzero(rows_b[t]).tolist()
-            probes[t // count].append((int(su[t]), int(sv[t]), ia, ib))
+    for first, _, su, sv, rows_a, rows_b in _probe_draws(rngs, trials, qa, na, qb, nb):
+        for g, t in np.ndindex(su.shape):
+            ia = np.flatnonzero(rows_a[g, t]).tolist()
+            ib = np.flatnonzero(rows_b[g, t]).tolist()
+            probes[first + g].append((int(su[g, t]), int(sv[g, t]), ia, ib))
     return [(got, rng.bit_generator.state) for got, rng in zip(probes, rngs)]
 
 
@@ -437,17 +456,24 @@ class TestProbeDraws:
         want = [loop_probes(seed, 120, 10, 32, 10, 32)]
         assert batched_probes([seed], 120, 10, 32, 10, 32) == want
         assert len(loop_chunks) == 1
-        # next to another generator, the chunk of both comes from the calls
+        # next to another generator, only its own chunk comes from the calls
         want = [loop_probes(s, 120, 10, 32, 10, 32) for s in (4, seed)]
         assert batched_probes([4, seed], 120, 10, 32, 10, 32) == want
-        assert len(loop_chunks) == 3
+        assert len(loop_chunks) == 2
         col = random_colouring(64, 5)
         a, b = range(32), range(32, 64)
         for colour in (RED, BLUE):
             got = eps_regular_check(col, colour, a, b, 0.3, mode="sampled", trials=120, seed=seed)
             want = reference_sampled_check(col, colour, a, b, 0.3, 120, seed)
             assert repr(got) == repr(want)
-        assert len(loop_chunks) == 5
+        assert len(loop_chunks) == 4
+
+    def test_rejected_floyd_draw(self, loop_chunks):
+        # seed 24662 reads an output that one of Floyd's draws on [0, j]
+        # rejects (the other rejections above fall on sizes and shuffles)
+        want = [loop_probes(s, 100, 1, 70, 1, 70) for s in (24661, 24662)]
+        assert batched_probes([24661, 24662], 100, 1, 70, 1, 70) == want
+        assert loop_chunks == [(100, 1, 70, 1, 70)]
 
     def test_rejected_size_draw(self, loop_chunks):
         # a state whose next raw output is 0, which a draw on [0, 64] rejects
@@ -465,6 +491,77 @@ class TestProbeDraws:
             want = loop_probes(seed, 2, 5000, 10_001, 1, 3)
             assert batched_probes([seed], 2, 5000, 10_001, 1, 3) == [want]
         assert len(loop_chunks) == 2
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_generators_match_generator_calls(self, data):
+        # generators of different set sizes decoded in one batch, some of
+        # them starting with the high half of an output already buffered
+        trials = data.draw(st.integers(0, 300))
+        count = data.draw(st.integers(1, 40))
+        starts, sizes = [], []
+        for _ in range(count):
+            na = data.draw(st.integers(1, 70))
+            nb = data.draw(st.integers(1, 70))
+            sizes.append((data.draw(st.integers(1, na)), na, data.draw(st.integers(1, nb)), nb))
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+            if data.draw(st.booleans()):
+                rng.integers(0, 2**32, dtype=np.uint32)
+            starts.append(rng.bit_generator.state)
+        want = [loop_probes(s, trials, *z) for s, z in zip(starts, sizes)]
+        qa, na, qb, nb = zip(*sizes)
+        assert batched_probes(starts, trials, qa, na, qb, nb) == want
+
+    def test_tiny_cell_cap_splits_alike(self, monkeypatch):
+        # a cap below one generator's trials splits by trials, and a batch of
+        # generators into runs; neither changes a probe or an end state
+        sizes = [(3, 9, 5, 40), (10, 32, 10, 32), (1, 1, 2, 7), (30, 70, 1, 70), (4, 12, 4, 12)]
+        starts = [[13552, 7919, 1, 2, 3], 8, [5, 5], 0, 77]
+        want = [loop_probes(s, 150, *z) for s, z in zip(starts, sizes)]
+        qa, na, qb, nb = zip(*sizes)
+        for cap in (1, 100, 700, 20_000):
+            monkeypatch.setattr(regularity, "_CELL_CAP", cap)
+            assert batched_probes(starts, 150, qa, na, qb, nb) == want
+            col = random_colouring(64, 5)
+            a, b = range(32), range(32, 64)
+            got = eps_regular_check(col, RED, a, b, 0.3, mode="sampled", trials=150, seed=starts[0])
+            assert repr(got) == repr(reference_sampled_check(col, RED, a, b, 0.3, 150, starts[0]))
+
+    def test_rejected_gate_falls_back_alone(self, loop_chunks):
+        # the pinned rejecting gate among other gates of one batched call:
+        # only its generator is drawn by the calls, every verdict is exact
+        col = random_colouring(96, 5)
+        gates = [
+            (range(32), range(32, 64), [13552, 7919, 1, 2, 0]),
+            (range(0, 96, 3), range(1, 96, 3), 4),
+            (range(16), range(40, 72), [13552, 7919, 1, 2, 1]),
+            (range(32), range(32, 64), [13552, 7919, 1, 2, 3]),
+            (range(50, 70), range(20), 11),
+            (range(64, 96), range(32, 64), [2, 7919, 0, 1, 2]),
+        ]
+        blocks = [regularity._block(col, RED, a, b) for a, b, _ in gates]
+        found = _sampled_gates(blocks, 0.3, 120, [seed for _, _, seed in gates])
+        assert loop_chunks == [(120, 10, 32, 10, 32)]
+        for (a, b, seed), got in zip(gates, found):
+            want = reference_sampled_check(col, RED, a, b, 0.3, 120, seed)
+            if got is None:
+                assert want.regular
+                continue
+            trial, rows, cols, dens = got
+            usub = tuple(sorted(a[i] for i in rows))
+            vsub = tuple(sorted(b[i] for i in cols))
+            assert not want.regular
+            assert repr((trial, (usub, vsub, dens))) == repr((want.trials, want.witness))
+
+    def test_wide_generator_falls_back_alone(self, loop_chunks):
+        # a side above 10,000 among narrow generators of one batch: only the
+        # wide one is drawn by the calls
+        sizes = [(1, 5, 1, 5), (5000, 10_001, 1, 3), (2, 9, 3, 7)]
+        starts = [0, 1, [2, 3]]
+        want = [loop_probes(s, 3, *z) for s, z in zip(starts, sizes)]
+        qa, na, qb, nb = zip(*sizes)
+        assert batched_probes(starts, 3, qa, na, qb, nb) == want
+        assert loop_chunks == [(3, 5000, 10_001, 1, 3)]
 
     def test_oversized_probes_raise_like_the_calls(self):
         col = random_colouring(16, 1)
@@ -512,10 +609,86 @@ class TestMakePartition:
         got = balanced_swap_search(col, m, seed, steps)
         assert repr(got) == repr(reference_swap_search(col, m, seed, steps))
 
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_batched_subsets_match_reference_picks(self, data):
+        # every class's candidates are scored in one batch; each class's
+        # pick must be what the bitmask oracle picks for it alone
+        n = data.draw(st.integers(2, 64))
+        col = random_small(n, data.draw(st.integers(0, 10_000)))
+        m = data.draw(st.integers(1, min(8, n)))
+        seed = data.draw(st.integers(0, 10_000))
+        eta = data.draw(st.floats(0.01, 0.6))
+        trials = data.draw(st.integers(0, 12))
+        part = make_partition(col, m, seed=seed, steps=5, eta=eta, subset_trials=trials)
+        for idx, (cl, sub) in enumerate(zip(part.classes, part.subsets)):
+            size = max(2, (len(cl) + 1) // 2)
+            if size >= len(cl):
+                assert sub == cl
+                continue
+            rng = np.random.default_rng([seed, 7919, idx])
+            cands = [
+                tuple(sorted(cl[i] for i in rng.choice(len(cl), size, replace=False)))
+                for _ in range(trials)
+            ]
+            cands.append(cl)
+            best = None
+            for ci, cand in enumerate(cands):
+                score = reference_self_score(
+                    col, cand, eta, np.random.default_rng([seed, 7919, idx, 101, ci])
+                )
+                if best is None or score < best[0] - 1e-12:
+                    best = (score, cand)
+            assert sub == best[1]
+
     def test_local_search_is_monotone(self):
         col = random_colouring(128, 6)
         _, initial, final = balanced_swap_search(col, 8, seed=6, steps=200)
         assert final <= initial + 1e-12
+
+
+def per_gate_reduced(col, part, eta, delta, trials=120, seed=0):
+    """(edge colours, deleted) of build_reduced from pair_density and one
+    eps_regular_check call per gate, in edge order, gate by gate."""
+    m = part.m
+    classes, subsets = part.classes, part.subsets
+    states = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            d_vv = pair_density(col, RED, classes[i], classes[j])
+            if not all(
+                abs(pair_density(col, RED, x, y) - d_vv) <= eta + 1e-12
+                for x, y in ((subsets[i], classes[j]), (subsets[j], classes[i]), (subsets[i], subsets[j]))
+            ):
+                continue
+            pairs = (
+                (classes[i], classes[j]),
+                (subsets[i], classes[j]),
+                (subsets[j], classes[i]),
+                (subsets[i], subsets[j]),
+            )
+            if all(
+                eps_regular_check(
+                    col, RED, x, y, eta, mode="sampled", trials=trials, seed=[seed, 7919, i, j, idx]
+                ).regular
+                for idx, (x, y) in enumerate(pairs)
+            ):
+                states[i][j] = states[j][i] = RED if d_vv >= 1.0 - delta - 1e-12 else BLUE
+    deleted = set()
+    while True:
+        degs = [
+            (sum(1 for j in range(m) if j != i and j not in deleted and states[i][j] is None), -i)
+            for i in range(m)
+            if i not in deleted
+        ]
+        if not degs or max(degs)[0] <= math.sqrt(eta) * m + 1e-12:
+            return tuple(tuple(row) for row in states), frozenset(deleted)
+        deleted.add(-max(degs)[1])
+
+
+CRITERION_7_MIX = [
+    (16, 4), (24, 4), (64, 8), (128, 8), (256, 8), (24, 4), (96, 8), (192, 4), (16, 8), (256, 8),
+]
 
 
 class TestBuildReduced:
@@ -600,6 +773,23 @@ class TestBuildReduced:
                 )
                 if tight.edge_colours[i][j] == 0:
                     assert loose.edge_colours[i][j] == 0
+
+    @pytest.mark.parametrize("eta", [0.3, 0.05, 0.5])
+    def test_matches_per_gate_checks(self, eta):
+        # the criterion-7 mix, and one and two parts; an edge's later gates
+        # are drawn only when its earlier ones pass, as in the per-gate loop
+        runs = [(seed, n, m) for seed, (n, m) in enumerate(CRITERION_7_MIX)]
+        runs += [(10, 32, 1), (11, 32, 2), (12, 17, 2)]
+        coloured = 0
+        for seed, n, m in runs:
+            col = random_colouring(n, seed)
+            part = make_partition(col, m, seed=seed, steps=30, eta=eta)
+            red = build_reduced(col, part, eta=eta, delta=0.3, seed=seed)
+            want = per_gate_reduced(col, part, eta, 0.3, seed=seed)
+            assert (red.edge_colours, red.deleted) == want
+            coloured += sum(c is not None for row in red.edge_colours for c in row)
+        # some edges pass every gate, so the comparison is not all-uncoloured
+        assert coloured > 0
 
     def test_deterministic(self):
         col = random_colouring(64, 16)
