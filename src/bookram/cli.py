@@ -10,6 +10,7 @@ paths given on the command line.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -123,9 +124,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call reuses: ``parse_args`` fills a fresh
+    namespace each time, so no parsed value carries over."""
+    return build_parser()
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

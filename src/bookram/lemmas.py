@@ -72,12 +72,18 @@ def elementary_symmetric(x, k: int) -> float:
 
 def _elementary_symmetric_arr(x: np.ndarray, k: int) -> np.ndarray:
     # e[d] is e_d over the coordinates seen so far, one row per degree so
-    # every update runs over contiguous memory
+    # every update runs over contiguous memory.  After i coordinates only
+    # e_0..e_i are nonzero, and e_d still reaches e_k only while k - d
+    # coordinates remain, so each coordinate updates just those degrees
+    # (adding 0 * col to 0 would leave them unchanged for finite x).
+    l = x.shape[1]
     e = np.zeros((k + 1, x.shape[0]), dtype=np.float64)
     e[0] = 1.0
-    for col in np.ascontiguousarray(x.T):
-        for d in range(k, 0, -1):
-            e[d] += e[d - 1] * col
+    term = np.empty(x.shape[0], dtype=np.float64)
+    for i, col in enumerate(np.ascontiguousarray(x.T)):
+        for d in range(min(k, i + 1), max(0, k - l + i), -1):
+            np.multiply(e[d - 1], col, out=term)
+            e[d] += term
     return e[k]
 
 
@@ -248,15 +254,16 @@ def degprod_certify(l: int, k: int, samples: int, seed: int, tol: float) -> Lemm
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be a finite number > 0")
     _check_lattice(2, l)
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, 1.0, size=(samples, l))
-    corners = np.array(list(itertools.product((0.0, 1.0), repeat=l)))
-    extremal = []
-    fractions = [i / 8.0 for i in range(1, 8)]
-    for ones in range(l):
-        for frac in fractions:
-            extremal.append([1.0] * ones + [frac] + [0.0] * (l - 1 - ones))
-    pts = np.vstack([pts, corners, np.array(extremal)])
+    # one block: the uniform samples (random() draws what uniform(0, 1)
+    # does), the 2^l corners in ``itertools.product`` order, then the
+    # extremal family, for each count of leading ones every fraction i/8
+    corners = 1 << l
+    pts = np.empty((samples + corners + 7 * l, l), dtype=np.float64)
+    np.random.default_rng(seed).random(out=pts[:samples])
+    pts[samples : samples + corners] = (np.arange(corners)[:, None] >> np.arange(l)[::-1]) & 1
+    extremal = pts[samples + corners :].reshape(l, 7, l)
+    extremal[:] = np.tri(l, l, -1)[:, None, :]
+    extremal[np.arange(l), :, np.arange(l)] = np.arange(1, 8) / 8.0
     lhs = _elementary_symmetric_arr(pts, k)
     rhs = degprod_floor(pts.sum(axis=1), k)
     violations, worst_margin, worst_witness = _scan_margins(pts, lhs, rhs, tol)

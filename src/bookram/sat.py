@@ -239,96 +239,97 @@ def solve_dimacs(text: str) -> tuple[str, list[int] | None]:
 
     Meant for the small instances this package emits; returns ("SAT", model)
     or ("UNSAT", None).  Branches on the lowest unassigned variable, trying
-    false (red) first to mirror the colouring search.
+    false (red) first to mirror the colouring search.  A literal beyond the
+    header's variable count is refused with ValueError.
     """
     nvars, clauses = parse_dimacs(text)
-    assign = [0] * (nvars + 1)  # 0 unknown, +1 true, -1 false
-    watches: dict[int, list[int]] = {}
+    if any(abs(lit) > nvars for cl in clauses for lit in cl):
+        raise ValueError(f"a clause names a variable beyond the header's {nvars}")
+    # literal-indexed lists: slot lit for a positive literal, and for -lit
+    # Python's negative index, counted from the end, which no positive
+    # literal reaches
+    value = [0] * (2 * nvars + 1)  # 0 unknown, +1 true, -1 false
+    watches: list[list[list[int]]] = [[] for _ in value]  # clauses watching lit
     trail: list[int] = []
 
-    def value(lit: int) -> int:
-        v = assign[abs(lit)]
-        return v if lit > 0 else -v
-
-    def enqueue(lit: int) -> bool:
-        if value(lit) == -1:
-            return False
-        if value(lit) == 0:
-            assign[abs(lit)] = 1 if lit > 0 else -1
-            trail.append(lit)
-        return True
-
-    for idx, cl in enumerate(clauses):
+    for cl in clauses:
         if not cl:
             return UNSAT, None
         if len(cl) == 1:
-            if not enqueue(cl[0]):
+            lit = cl[0]
+            if value[lit] == -1:
                 return UNSAT, None
+            if not value[lit]:
+                value[lit], value[-lit] = 1, -1
+                trail.append(lit)
             continue
-        watches.setdefault(cl[0], []).append(idx)
-        watches.setdefault(cl[1], []).append(idx)
+        watches[cl[0]].append(cl)
+        watches[cl[1]].append(cl)
 
     def propagate(head: int) -> bool:
         """Exhaust unit propagation from trail position ``head``."""
         while head < len(trail):
-            lit = trail[head]
+            falsified = -trail[head]
             head += 1
-            falsified = -lit
-            watching = watches.get(falsified, [])
+            watching = watches[falsified]  # clauses with falsified in cl[:2]
             i = 0
-            while i < len(watching):
-                ci = watching[i]
-                cl = clauses[ci]
-                if cl[0] == falsified:
-                    cl[0], cl[1] = cl[1], cl[0]
+            end = len(watching)
+            while i < end:
+                cl = watching[i]
+                first = cl[0]
+                if first == falsified:
+                    first = cl[0] = cl[1]
+                    cl[1] = falsified
                 # cl[1] == falsified now; find a replacement watch
-                if value(cl[0]) == 1:
+                if value[first] == 1:
                     i += 1
                     continue
-                moved = False
                 for j in range(2, len(cl)):
-                    if value(cl[j]) != -1:
-                        cl[1], cl[j] = cl[j], cl[1]
-                        watches.setdefault(cl[1], []).append(ci)
-                        watching[i] = watching[-1]
+                    lit = cl[j]
+                    if value[lit] != -1:
+                        cl[1], cl[j] = lit, falsified
+                        watches[lit].append(cl)
+                        end -= 1
+                        watching[i] = watching[end]
                         watching.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                if not enqueue(cl[0]):
-                    return False
-                i += 1
+                else:
+                    # unit or conflicting: first is unknown or false
+                    if value[first]:
+                        return False
+                    value[first], value[-first] = 1, -1
+                    trail.append(first)
+                    i += 1
         return True
 
     if not propagate(0):
         return UNSAT, None
     decisions: list[tuple[int, int, bool]] = []  # (trail mark, literal, flipped)
-
+    # every variable below the latest decision's is assigned, so the scan
+    # for the lowest unassigned variable starts there
+    var = 1
     while True:
-        var = 0
-        for x in range(1, nvars + 1):
-            if assign[x] == 0:
-                var = x
-                break
-        if var == 0:
-            return SAT, [x if assign[x] > 0 else -x for x in range(1, nvars + 1)]
+        while var <= nvars and value[var]:
+            var += 1
+        if var > nvars:
+            return SAT, [x if value[x] > 0 else -x for x in range(1, nvars + 1)]
         lit = -var  # false first
-        mark = len(trail)
-        decisions.append((mark, lit, False))
-        enqueue(lit)
+        decisions.append((len(trail), lit, False))
+        value[lit], value[var] = 1, -1
+        trail.append(lit)
         while not propagate(len(trail) - 1):
             while decisions and decisions[-1][2]:
                 mark, lit, _ = decisions.pop()
                 for l in trail[mark:]:
-                    assign[abs(l)] = 0
+                    value[l] = value[-l] = 0
                 del trail[mark:]
             if not decisions:
                 return UNSAT, None
             mark, lit, _ = decisions.pop()
             for l in trail[mark:]:
-                assign[abs(l)] = 0
+                value[l] = value[-l] = 0
             del trail[mark:]
             decisions.append((mark, -lit, True))
-            enqueue(-lit)
-    # unreachable
+            value[-lit], value[lit] = 1, -1
+            trail.append(-lit)
+            var = abs(lit)

@@ -9,6 +9,7 @@ which is kept strictly distinct from an exhausted "none exists" proof.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 
@@ -29,10 +30,6 @@ class Budget:
 
     max_nodes: int | None = None
     max_seconds: float | None = None
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -73,38 +70,58 @@ class ExactResult:
         return self.upper if self.status == EXACT else None
 
 
+def _book_test(k: int, n: int):
+    """The book test of a search for B_n^(k), chosen once per search.
+
+    ``test(adjc, u, v)`` says whether the colour rows ``adjc``, just after
+    edge (u, v) was added to them, hold a book with spine size k and >= n
+    pages among the decided edges.  Any new book uses the new edge, either
+    inside its spine or joining a page to a spine vertex, so only spines
+    through u or v need scanning.  The rest of such a spine lies in
+    ``both``, inside each page mask searched, so the kernel's bound holds.
+    For k <= 2 such a spine is u or v alone, {u, v}, or u or v with one w
+    from ``both``, so popcounts answer without the kernel.
+    """
+    if k == 1:
+
+        def test(adjc, u: int, v: int) -> bool:
+            return adjc[u].bit_count() >= n or adjc[v].bit_count() >= n
+
+    elif k == 2:
+
+        def test(adjc, u: int, v: int) -> bool:
+            ru, rv = adjc[u], adjc[v]
+            both = ru & rv
+            if both.bit_count() >= n:
+                return True
+            while both:
+                low = both & -both
+                both ^= low
+                rw = adjc[low.bit_length() - 1]
+                if (ru & rw).bit_count() >= n or (rv & rw).bit_count() >= n:
+                    return True
+            return False
+
+    else:
+
+        def test(adjc, u: int, v: int) -> bool:
+            ru, rv = adjc[u], adjc[v]
+            both = ru & rv
+            for _ in clique_pages(adjc, both, both, k - 2, n - 1):
+                return True
+            for pages in (ru, rv):
+                for _ in clique_pages(adjc, both, pages, k - 1, n - 1):
+                    return True
+            return False
+
+    return test
+
+
 def _creates_book(adj, u: int, v: int, c: int, k: int, n: int) -> bool:
     """After edge (u, v) got colour c, does a monochromatic book with spine
-    size k and >= n pages exist among decided edges?
-
-    Any new book uses the new edge, either inside its spine or joining a page
-    to a spine vertex, so only spines through u or v need scanning.  The
-    rest of such a spine lies in ``both``, inside each page mask searched, so
-    the kernel's bound holds.  For k <= 2 such a spine is u or v alone,
-    {u, v}, or u or v with one w from ``both``, so popcounts answer without
-    the kernel.
-    """
-    adjc = adj[c]
-    ru, rv = adjc[u], adjc[v]
-    if k == 1:
-        return ru.bit_count() >= n or rv.bit_count() >= n
-    both = ru & rv
-    if k == 2:
-        if both.bit_count() >= n:
-            return True
-        while both:
-            low = both & -both
-            both ^= low
-            rw = adjc[low.bit_length() - 1]
-            if (ru & rw).bit_count() >= n or (rv & rw).bit_count() >= n:
-                return True
-        return False
-    for _ in clique_pages(adjc, both, both, k - 2, n - 1):
-        return True
-    for pages in (ru, rv):
-        for _ in clique_pages(adjc, both, pages, k - 1, n - 1):
-            return True
-    return False
+    size k and >= n pages exist among decided edges?  Runs the test
+    ``find_witness`` runs, picked by ``_book_test``."""
+    return _book_test(k, n)(adj[c], u, v)
 
 
 def find_witness(
@@ -125,56 +142,56 @@ def find_witness(
     if size < 1:
         raise ValueError("need at least one vertex")
     budget = budget or Budget()
-    edges = [(u, v) for u in range(size) for v in range(u + 1, size)]
-    adj = [[0] * size for _ in range(2)]
+    test = _book_test(k, n)
+    # per edge: its endpoints and their bits
+    edges = [(u, v, 1 << u, 1 << v) for u in range(size) for v in range(u + 1, size)]
+    m = len(edges)
+    # colours[i] is the colour edge i holds while the search is past it;
+    # slot m is a constant 1.  Edge i may take colour 1 only if
+    # colours[top[i]] is 1: with symmetry, edge (0, v) for v >= 2 (index
+    # v - 1) follows edge (0, v - 1), and every other edge reads slot m.
+    colours = [0] * m + [1]
+    top = [i - 1 if symmetry and 1 <= i <= size - 2 else m for i in range(m)]
+    adj = ([0] * size, [0] * size)
     start = time.perf_counter()
-    nodes = 0
+    # the node cap is checked at every node and the clock every 1,024 nodes,
+    # both by one comparison with ``check``, the next node at which one is due
+    limit = sys.maxsize if budget.max_nodes is None else budget.max_nodes + 1
     deadline = None if budget.max_seconds is None else start + budget.max_seconds
-
-    def tick():
-        nonlocal nodes
+    clock = sys.maxsize if deadline is None else 1024
+    check = min(limit, clock)
+    nodes = idx = c = 0
+    while idx < m:
+        # node: edge idx takes colour c
         nodes += 1
-        if budget.max_nodes is not None and nodes > budget.max_nodes:
-            raise _BudgetExhausted
-        if deadline is not None and nodes % 1024 == 0 and time.perf_counter() > deadline:
-            raise _BudgetExhausted
-
-    def dfs() -> bool:
-        """Depth-first over the edges in order, colour 0 before colour 1,
-        on an explicit stack of (edge index, colour) per coloured edge."""
-        stack: list[tuple[int, int]] = []
-        idx, c = 0, 0
-        while idx < len(edges):
-            u, v = edges[idx]
-            if symmetry and u == 0 and v >= 2:
-                top = (adj[1][0] >> (v - 1)) & 1  # colour of edge (0, v-1)
-            else:
-                top = 1
-            if c <= top:
-                tick()
-                adj[c][u] |= 1 << v
-                adj[c][v] |= 1 << u
-                if not _creates_book(adj, u, v, c, k, n):
-                    stack.append((idx, c))
-                    idx, c = idx + 1, 0
-                    continue
-            elif stack:
-                idx, c = stack.pop()
-                u, v = edges[idx]
-            else:
-                return False
-            adj[c][u] &= ~(1 << v)
-            adj[c][v] &= ~(1 << u)
-            c += 1
-        return True
-
-    try:
-        ok = dfs()
-    except _BudgetExhausted:
-        return WitnessResult(INCONCLUSIVE, None, nodes, time.perf_counter() - start)
+        if nodes >= check:
+            if nodes >= limit or time.perf_counter() > deadline:
+                return WitnessResult(INCONCLUSIVE, None, nodes, time.perf_counter() - start)
+            clock += 1024
+            check = min(limit, clock)
+        adjc = adj[c]
+        u, v, ub, vb = edges[idx]
+        adjc[u] ^= vb
+        adjc[v] ^= ub
+        if not test(adjc, u, v):
+            colours[idx] = c
+            idx += 1
+            c = 0
+            continue
+        # undo, then move on to the next colour or back up the edges
+        adjc[u] ^= vb
+        adjc[v] ^= ub
+        while c or not colours[top[idx]]:
+            if not idx:
+                return WitnessResult(NONE, None, nodes, time.perf_counter() - start)
+            idx -= 1
+            c = colours[idx]
+            u, v, ub, vb = edges[idx]
+            adjc = adj[c]
+            adjc[u] ^= vb
+            adjc[v] ^= ub
+        c = 1
     elapsed = time.perf_counter() - start
-    if not ok:
-        return WitnessResult(NONE, None, nodes, elapsed)
     col = Colouring(size, 2, (tuple(adj[0]), tuple(adj[1])))
     if has_mono_book(col, k, n):
         raise RuntimeError("search produced an invalid witness; pruning is broken")

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from bookram import search
+from bookram import sat, search
 from bookram.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INTERNAL,
@@ -373,3 +373,26 @@ class TestUsageErrors:
     def test_missing_file(self):
         code, _ = run(["book", "--k", "2", "--input", "/nonexistent/x.knc"])
         assert code == EXIT_USAGE
+
+
+class TestParserReuse:
+    def test_successive_calls_share_no_values(self, monkeypatch, pentagon_file):
+        # main builds its parser once; every call must still see only its
+        # own arguments and the defaults
+        seen = []
+        monkeypatch.setattr("bookram.cli._dispatch", lambda args, out: seen.append(vars(args)) or 0)
+        assert run(["--threads", "2", "search", "--k", "1", "--n", "2", "--max-nodes", "5"])[0] == 0
+        assert run(["sat-export", "--k", "2", "--n", "1", "--N", "5"])[0] == 0
+        assert run(["search", "--k", "3", "--n", "1"])[0] == 0
+        assert run(["book", "--k", "2"])[0] == EXIT_USAGE
+        assert seen == [
+            {"threads": 2, "command": "search", "k": 1, "n": 2, "max_nodes": 5,
+             "max_seconds": 300.0, "witness": None},
+            {"threads": None, "command": "sat-export", "k": 2, "n": 1, "size": 5,
+             "cap": sat.DEFAULT_CLAUSE_CAP, "out": None},
+            {"threads": None, "command": "search", "k": 3, "n": 1, "max_nodes": 50_000_000,
+             "max_seconds": 300.0, "witness": None},
+        ]
+        monkeypatch.undo()
+        code, text = run(["book", "--k", "2", "--input", pentagon_file])
+        assert code == EXIT_OK and text.splitlines()[0] == "BOOK 0 2 0"

@@ -192,6 +192,31 @@ class TestSolver:
         for cl in clauses:
             assert any(truth[abs(l)] == (l > 0) for l in cl)
 
+    @pytest.mark.parametrize(
+        "k, n, size, nvars, digest",
+        [
+            (2, 2, 9, 1044, "8f6dd31b1a06a7d93637c6912b3c5029df55217c8f49442b22fc3131680f7206"),
+            (2, 2, 7, 441, "77160b822d54f06d47386cb466ad9347396715cbee3490e33909c7a7a8618a01"),
+        ],
+    )
+    def test_pinned_models(self, k, n, size, nvars, digest):
+        # the model pins the watch order and the branching rule (lowest
+        # unassigned variable, false first), not only the model's validity
+        status, model = solve_dimacs(sat_export(k, n, size))
+        assert status == SAT and len(model) == nvars
+        text = " ".join(str(lit) for lit in model)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_pinned_unsat(self):
+        assert solve_dimacs(sat_export(1, 4, 7)) == (UNSAT, None)
+
+    def test_literal_beyond_header_refused(self):
+        # values are indexed by literal, so -3 would alias literal 2's slot
+        with pytest.raises(ValueError):
+            solve_dimacs("p cnf 2 1\n1 -3 0\n")
+        with pytest.raises(ValueError):
+            solve_dimacs("1 0\n")
+
 
 class TestAgreementSmallGrid:
     def test_dfs_and_sat_agree_up_to_size6(self):

@@ -51,6 +51,13 @@ class TestFindWitness:
         res = find_witness(2, 1, 6, budget=Budget(max_nodes=3))
         assert res.status == INCONCLUSIVE
 
+    def test_time_budget_reads_clock_every_1024_nodes(self):
+        # a zero budget passes at the first clock reading, which comes at
+        # node 1,024; K_10 with k=2, n=2 has no witness and runs far longer
+        res = find_witness(2, 2, 10, Budget(max_seconds=0.0))
+        assert res.status == INCONCLUSIVE and res.colouring is None
+        assert res.nodes == 1024
+
     def test_symmetry_off_agrees(self):
         for k, n in ((1, 1), (1, 2), (2, 1), (2, 2)):
             for size in range(2, 7):
