@@ -231,10 +231,12 @@ def degprod_floor(c, k: int):
     against it is restricted to c >= k-1.
     """
     c = np.asarray(c, dtype=np.float64)
+    binom = _gen_binomial_arr(c, k)
+    if k == 0:
+        return binom  # e_0 = 1 = C(c, 0), with no C(c, -1) term
     lo = np.floor(c)
     frac = c - lo
     extremal = _gen_binomial_arr(lo, k) + frac * _gen_binomial_arr(lo, k - 1)
-    binom = _gen_binomial_arr(c, k)
     return np.where(c >= k - 1, binom, extremal)
 
 

@@ -11,8 +11,10 @@ pipeline is a lower-bounding heuristic and never claims more than it checks.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,6 @@ from .colouring import (
     _unpack_rows,
     bits,
     clique_pages,
-    common_pages,
     mask_of,
 )
 
@@ -749,35 +750,40 @@ def build_reduced(
     )
 
 
-def _transversal_scan(col: Colouring, colour: int, spine_parts, page_mask: int):
-    """Enumerate the colour-c cliques with one vertex in each part (parts may
-    repeat, vertices stay distinct), each vertex set once.  Returns
-    (best, count, total_pages) where best is (pages, spine) or None; the
-    lexicographic order makes the first maximum the smallest spine."""
-    part_masks = [mask_of(p) for p in spine_parts]
+def _transversal_scan(col: Colouring, colour: int, spine_parts, page_parts):
+    """Enumerate the colour-c cliques with one vertex in each spine part
+    (parts may repeat, vertices stay distinct), each vertex set once, their
+    pages counted inside the union of the page parts.  Returns
+    (best, count, total_pages) where best is (page count, spine, page mask)
+    or None; the lexicographic order makes the first maximum the smallest
+    spine."""
+    copies = Counter(mask_of(p) for p in spine_parts)
     # Hall's condition: the parts have distinct representatives in a spine iff
-    # every r of them meet it in at least r vertices (each union keeps its
-    # largest r, as larger groups come later)
+    # every r of them meet it in at least r vertices.  Fewer copies of the same
+    # masks have the same union and ask less, so a group takes every copy of
+    # its masks, and each union keeps its largest group
     need: dict[int, int] = {}
-    for r in range(1, len(part_masks) + 1):
-        for group in itertools.combinations(part_masks, r):
+    for r in range(1, len(copies) + 1):
+        for group in itertools.combinations(copies, r):
             joined = 0
             for m in group:
                 joined |= m
-            need[joined] = r
+            need[joined] = max(need.get(joined, 0), sum(copies[m] for m in group))
     union = mask_of(v for p in spine_parts for v in p)
-    best: tuple[int, tuple[int, ...]] | None = None
+    page_mask = mask_of(v for p in page_parts for v in p)
+    best: tuple[int, tuple[int, ...], int] | None = None
     count = 0
     total = 0
-    for spine, inter in clique_pages(col.adj[colour], union, col.full_mask(), len(part_masks)):
+    for spine, inter in clique_pages(col.adj[colour], union, col.full_mask(), len(spine_parts)):
         chosen = mask_of(spine)
         if any((chosen & m).bit_count() < r for m, r in need.items()):
             continue
-        pages = (inter & page_mask).bit_count()
+        pages = inter & page_mask
+        size = pages.bit_count()
         count += 1
-        total += pages
-        if best is None or pages > best[0]:
-            best = (pages, spine)
+        total += size
+        if best is None or size > best[0]:
+            best = (size, spine, pages)
     return best, count, total
 
 
@@ -791,26 +797,19 @@ def transversal_best_spine(
     cliques; ties go to the lexicographically smallest spine.  No transversal
     clique at all gives None.
     """
-    page_mask = 0
-    for p in page_parts:
-        page_mask |= mask_of(p)
-    best, count, total = _transversal_scan(col, colour, spine_parts, page_mask)
+    best, count, total = _transversal_scan(col, colour, spine_parts, page_parts)
     if best is None:
         return None
-    pages, spine = best
+    pages, spine, mask = best
     if pages * count < total:
         raise RuntimeError("maximum fell below the average; enumeration is broken")
-    mask = common_pages(col, colour, spine) & page_mask
     return BookCertificate(colour, spine, tuple(bits(mask)))
 
 
 def transversal_page_stats(col: Colouring, colour: int, spine_parts, page_parts):
     """(number of transversal cliques, total page count) for the averaging
     identity checks."""
-    page_mask = 0
-    for p in page_parts:
-        page_mask |= mask_of(p)
-    _, count, total = _transversal_scan(col, colour, spine_parts, page_mask)
+    _, count, total = _transversal_scan(col, colour, spine_parts, page_parts)
     return count, total
 
 
@@ -843,41 +842,41 @@ def _find_blowup(reduced: ReducedGraph, verts: list[int], k: int, t_max: int, bl
     monochromatic clique in the reduced edge colouring, pairwise joined
     entirely in ``blue``.  Deterministic lexicographic search; parts are
     ordered by their smallest element."""
-    states = reduced.edge_colours
+    rows = ([0] * reduced.m, [0] * reduced.m)  # red and blue reduced edges
+    for i, row in enumerate(reduced.edge_colours):
+        for j, st in enumerate(row):
+            if st is not None:
+                rows[st][i] |= 1 << j
 
-    def internal_colour(part):
-        if len(part) == 1:
-            return "vacuous"
-        colours = {states[u][v] for u, v in itertools.combinations(part, 2)}
-        if len(colours) == 1 and None not in colours:
-            return colours.pop()
-        return "mixed"
+    def mono_cliques_in(allowed: int, t: int):
+        # the red and the blue t-cliques in allowed, in one lexicographic
+        # stream; a single vertex is a clique of both colours, so t = 1 reads
+        # one of them
+        streams = [clique_pages(r, allowed, allowed, t) for r in rows[: 1 if t == 1 else 2]]
+        return (clique for clique, _ in heapq.merge(*streams))
 
-    def cross_blue(pa, pb):
-        return all(states[u][v] == blue for u in pa for v in pb)
-
-    for t in range(min(t_max, len(verts) // k if k else 0), 0, -1):
+    pool = mask_of(verts)
+    for t in range(min(t_max, len(verts) // k if k > 0 else 0), 0, -1):
         parts: list[tuple[int, ...]] = []
-
-        def rec(pool: list[int]) -> bool:
+        # one level per part being chosen: its candidates left, and the
+        # vertices a further part may use (the blue rows hold no vertex of
+        # their own, so a part joined in blue is disjoint from it)
+        levels = [(mono_cliques_in(pool, t), pool)]
+        while levels:
+            cands, allowed = levels[-1]
+            part = next(cands, None)
+            if part is None:
+                levels.pop()
+                if parts:
+                    parts.pop()
+                continue
+            parts.append(part)
             if len(parts) == k:
-                return True
-            floor = parts[-1][0] if parts else -1
-            for cand in itertools.combinations(pool, t):
-                if cand[0] <= floor:
-                    continue
-                if internal_colour(cand) == "mixed":
-                    continue
-                if any(not cross_blue(cand, p) for p in parts):
-                    continue
-                parts.append(cand)
-                if rec([v for v in pool if v not in cand]):
-                    return True
-                parts.pop()
-            return False
-
-        if k >= 1 and rec(list(verts)):
-            return t, tuple(parts)
+                return t, tuple(parts)
+            allowed &= -(2 << part[0])  # only vertices above its smallest
+            for v in part:
+                allowed &= rows[blue][v]
+            levels.append((mono_cliques_in(allowed, t), allowed))
     return None
 
 
@@ -943,10 +942,13 @@ def extract_book(
     def coloured(i: int, j: int) -> bool:
         return states[i][j] is not None
 
+    certs: dict[int, BookCertificate] = {}
+
     def add_candidate(case, role_red, colour, spine_parts, spine_label, page_idx):
         page_parts = [classes[j] for j in page_idx]
         page_label = " ".join(f"V{j}" for j in page_idx) or "-"
         cert = transversal_best_spine(col, colour, spine_parts, page_parts)
+        idx = len(records)
         pages = None
         spine = None
         if cert is not None:
@@ -954,7 +956,7 @@ def extract_book(
             if not verdict.ok:
                 raise RuntimeError(f"extraction produced a bad certificate: {verdict}")
             pages, spine = cert.page_count, cert.spine
-        idx = len(records)
+            certs[idx] = cert
         records.append(
             CandidateRecord(idx, case, role_red, colour, spine_label, page_label, pages, spine)
         )
@@ -963,9 +965,19 @@ def extract_book(
             f"\tspine={spine_label}\tpages={page_label}\t"
             + ("nospine" if pages is None else f"got={pages}")
         )
-        return cert
 
-    certs: dict[int, BookCertificate] = {}
+    def add_best_tuple(case, role_red, colour, pools, distinct):
+        tup = _best_tuple(reduced, pools, colour, surv, distinct)
+        if tup is not None:
+            chosen, page_idx = tup
+            add_candidate(
+                case,
+                role_red,
+                colour,
+                [subsets[a] for a in chosen],
+                " ".join(f"W{a}" for a in chosen),
+                page_idx,
+            )
 
     for role_red in (0, 1):
         role_blue = 1 - role_red
@@ -981,16 +993,7 @@ def extract_book(
                 page_idx = [a] + [
                     j for j in surv if j != a and states[a][j] == role_red
                 ]
-                cert = add_candidate(
-                    "A",
-                    role_red,
-                    role_red,
-                    [subsets[a]] * k,
-                    f"W{a}^{k}",
-                    page_idx,
-                )
-                if cert is not None:
-                    certs[len(records) - 1] = cert
+                add_candidate("A", role_red, role_red, [subsets[a]] * k, f"W{a}^{k}", page_idx)
         if not fired_a:
             out("caseA\tnone")
 
@@ -1029,36 +1032,11 @@ def extract_book(
                     )
                     if escaped:
                         page_idx = [a] + [j for j in surv if j != a and coloured(a, j)]
-                        cert = add_candidate(
-                            "B-escape",
-                            role_red,
-                            role_red,
-                            [subsets[a]] * k,
-                            f"W{a}^{k}",
-                            page_idx,
+                        add_candidate(
+                            "B-escape", role_red, role_red, [subsets[a]] * k, f"W{a}^{k}", page_idx
                         )
-                        if cert is not None:
-                            certs[len(records) - 1] = cert
                 if t >= k:
-                    tup = _best_tuple(
-                        reduced,
-                        [list(p)] * k,
-                        role_blue,
-                        surv,
-                        distinct=True,
-                    )
-                    if tup is not None:
-                        chosen, page_idx = tup
-                        cert = add_candidate(
-                            "B-blue",
-                            role_red,
-                            role_blue,
-                            [subsets[a] for a in chosen],
-                            " ".join(f"W{a}" for a in chosen),
-                            page_idx,
-                        )
-                        if cert is not None:
-                            certs[len(records) - 1] = cert
+                    add_best_tuple("B-blue", role_red, role_blue, [list(p)] * k, True)
                 else:
                     out(f"subcase\tblue-part-too-small\tt={t}\tk={k}")
 
@@ -1087,37 +1065,9 @@ def extract_book(
                 f"dichotomy\tlhs_blue={lhs_blue:.6f}\tthr_blue={thr_blue:.6f}"
                 f"\tfired={'y' if lhs_blue + _FUZZ >= thr_blue else 'n'}"
             )
-            tup = _best_tuple(
-                reduced, [list(p) for p in parts], role_blue, surv, distinct=True
-            )
-            if tup is not None:
-                chosen, page_idx = tup
-                cert = add_candidate(
-                    "end-blue",
-                    role_red,
-                    role_blue,
-                    [subsets[a] for a in chosen],
-                    " ".join(f"W{a}" for a in chosen),
-                    page_idx,
-                )
-                if cert is not None:
-                    certs[len(records) - 1] = cert
+            add_best_tuple("end-blue", role_red, role_blue, [list(p) for p in parts], True)
             for r in range(k):
-                tup = _best_tuple(
-                    reduced, [list(parts[r])] * k, role_red, surv, distinct=False
-                )
-                if tup is not None:
-                    chosen, page_idx = tup
-                    cert = add_candidate(
-                        f"end-red-{r}",
-                        role_red,
-                        role_red,
-                        [subsets[a] for a in chosen],
-                        " ".join(f"W{a}" for a in chosen),
-                        page_idx,
-                    )
-                    if cert is not None:
-                        certs[len(records) - 1] = cert
+                add_best_tuple(f"end-red-{r}", role_red, role_red, [list(parts[r])] * k, False)
 
     winner = None
     for idx, cert in certs.items():

@@ -305,3 +305,37 @@ PIPELINE_REPORT_SHA256 = "0c2eda9125223069ac168d31617d427ad499609123ee85fbc8cba7
 def test_criterion_7_report_digest():
     digest = hashlib.sha256(_pipeline_report().encode()).hexdigest()
     assert digest == PIPELINE_REPORT_SHA256
+
+
+# sha256 of the concatenated extraction traces of the criterion-7 runs: the
+# report above keeps only page counts, and every line of the case analysis,
+# blow-up and candidate tie-breaks included, must stay byte-identical
+PIPELINE_TRACES_SHA256 = "d9a3716123f5a47007aee1a6eddea47a8036613257a15628574263a044e6422b"
+
+
+def test_criterion_7_trace_digest():
+    digest = hashlib.sha256()
+    for seed, size, k, m in PIPELINE_RUNS:
+        col = random_colouring(size, seed)
+        part = make_partition(col, m, seed=seed, steps=30, eta=0.3)
+        red = build_reduced(col, part, eta=0.3, delta=0.3, seed=seed)
+        digest.update(extract_book(col, red, k)[1].render().encode())
+    assert digest.hexdigest() == PIPELINE_TRACES_SHA256
+
+
+# the criterion-7 mix never fires the high red-density-sum escape; these runs
+# (size, k, m, seed) at eta = delta = 0.9 do
+ESCAPE_RUNS = [(32, 2, 8, 0), (32, 2, 8, 2), (16, 1, 8, 1), (16, 1, 8, 6)]
+ESCAPE_TRACES_SHA256 = "028b4f74a248fe3f68c3c4a198a7b2be8610a89e6413c31554e526673c782e7b"
+
+
+def test_escape_trace_digest():
+    digest = hashlib.sha256()
+    for size, k, m, seed in ESCAPE_RUNS:
+        col = random_colouring(size, seed)
+        part = make_partition(col, m, seed=seed, steps=10, eta=0.9)
+        red = build_reduced(col, part, eta=0.9, delta=0.9, seed=seed)
+        trace = extract_book(col, red, k)[1]
+        assert any(rec.case == "B-escape" for rec in trace.candidates), (size, k, m, seed)
+        digest.update(trace.render().encode())
+    assert digest.hexdigest() == ESCAPE_TRACES_SHA256

@@ -261,6 +261,12 @@ class TestLemmasCommand:
         assert code == EXIT_OK
         assert "violations\t0" in text
 
+    def test_degprod_empty_product(self):
+        # e_0 = 1 = C(c, 0) on every vector, so k = 0 certifies
+        code, text = run(["lemmas", "degprod", "--l", "3", "--k", "0", "--samples", "5"])
+        assert code == EXIT_OK
+        assert "violations\t0" in text
+
     def test_lattices_past_the_cap_refused(self, capsys):
         for argv in (["degprod", "--l", "40", "--k", "3"], ["dichotomy", "--k", "30"]):
             code, text = run(["lemmas", *argv, "--samples", "10"])

@@ -256,6 +256,11 @@ class TestDegprodCertify:
         assert elementary_symmetric(xs, 3) < gen_binomial(sum(xs), 3)
         assert elementary_symmetric(xs, 3) >= degprod_floor(np.array([sum(xs)]), 3)[0]
 
+    def test_floor_of_empty_product(self):
+        c = np.array([0.0, 0.5, 2.25, 7.0])
+        assert degprod_floor(c, 0).tolist() == [1.0] * 4
+        assert degprod_certify(3, 0, 5, seed=0, tol=1e-9).violations == 0
+
     def test_reports_pinned(self):
         # sha256 over the to_tsv() reports on a small (l, k) grid, as the
         # column-by-column recurrence computed them

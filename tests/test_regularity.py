@@ -15,10 +15,13 @@ from bookram.constructions import random_colouring
 from bookram import regularity
 from bookram.regularity import (
     EquitablePartition,
+    ReducedGraph,
     RegularityVerdict,
+    _find_blowup,
     _probe_draws,
     _sampled_gates,
     _self_regularity_scores,
+    _transversal_scan,
     balanced_swap_search,
     build_reduced,
     eps_regular_check,
@@ -898,6 +901,32 @@ class TestTransversalBestSpine:
         count, total = transversal_page_stats(col, 0, parts, pages)
         assert cert.page_count * count >= total
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_masks_match_bruteforce(self, data):
+        # parts drawn with repeats from three masks: the Hall table keeps one
+        # entry per group of distinct masks, each standing for all its copies
+        n = 9
+        col = random_small(n, data.draw(st.integers(0, 10**6)))
+        vertex_sets = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+        masks = [tuple(sorted(data.draw(vertex_sets))) for _ in range(3)]
+        spine_parts = data.draw(st.lists(st.sampled_from(masks), min_size=1, max_size=4))
+        pages = [tuple(sorted(data.draw(vertex_sets)))]
+        c = data.draw(st.sampled_from((RED, BLUE)))
+        page_mask = mask_of(pages[0])
+        fits = [s for s in mono_cliques(col, c, len(spine_parts)) if _has_sdr(s, spine_parts)]
+        got = [(common_pages(col, c, s) & page_mask).bit_count() for s in fits]
+        assert transversal_page_stats(col, c, spine_parts, pages) == (len(fits), sum(got))
+
+    def test_twenty_copies_of_one_part(self):
+        # case A's spine parts at k = 20: a Hall table over every group of the
+        # copies would take 2^20 steps for a part that holds no spine at all
+        col = all_one_colour(24)
+        assert _transversal_scan(col, RED, [(0, 1, 2)] * 20, [range(24)]) == (None, 0, 0)
+        best, count, total = _transversal_scan(col, RED, [tuple(range(6))] * 4, [range(24)])
+        assert (count, total) == (math.comb(6, 4), 20 * math.comb(6, 4))
+        assert best == (20, (0, 1, 2, 3), mask_of(range(4, 24)))
+
 
 def _has_sdr(vertices, parts):
     """Can the vertices be assigned one-to-one to parts they belong to?"""
@@ -961,3 +990,96 @@ class TestExtractBook:
         assert cert is None
         assert trace.winner is None
         assert any(line.startswith("winner\tnone") for line in trace.lines)
+
+
+def reduced_of(states) -> ReducedGraph:
+    """A reduced graph on singleton classes with the given edge colours."""
+    m = len(states)
+    singles = tuple((i,) for i in range(m))
+    zeros = ((0.0,) * m,) * m
+    part = EquitablePartition(singles, singles, 0.0)
+    return ReducedGraph(part, 0.0, 0.0, (RED,) * m, states, zeros, zeros, zeros, frozenset())
+
+
+def reference_find_blowup(states, verts, k, t_max, blue):
+    """The blow-up search as a filter over every t-subset of the pool."""
+
+    def internal_colour(part):
+        if len(part) == 1:
+            return "vacuous"
+        colours = {states[u][v] for u, v in itertools.combinations(part, 2)}
+        if len(colours) == 1 and None not in colours:
+            return colours.pop()
+        return "mixed"
+
+    def cross_blue(pa, pb):
+        return all(states[u][v] == blue for u in pa for v in pb)
+
+    for t in range(min(t_max, len(verts) // k if k else 0), 0, -1):
+        parts = []
+
+        def rec(pool):
+            if len(parts) == k:
+                return True
+            floor = parts[-1][0] if parts else -1
+            for cand in itertools.combinations(pool, t):
+                if cand[0] <= floor or internal_colour(cand) == "mixed":
+                    continue
+                if any(not cross_blue(cand, p) for p in parts):
+                    continue
+                parts.append(cand)
+                if rec([v for v in pool if v not in cand]):
+                    return True
+                parts.pop()
+            return False
+
+        if k >= 1 and rec(list(verts)):
+            return t, tuple(parts)
+    return None
+
+
+def is_blowup(states, blow, k, blue):
+    t, parts = blow
+    if len(parts) != k or any(len(p) != t for p in parts):
+        return False
+    if [p[0] for p in parts] != sorted(p[0] for p in parts):
+        return False
+    for p in parts:
+        colours = {states[u][v] for u, v in itertools.combinations(p, 2)}
+        if None in colours or len(colours) > 1:
+            return False
+    return all(
+        states[u][v] == blue for p, q in itertools.combinations(parts, 2) for u in p for v in q
+    )
+
+
+class TestFindBlowup:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_subset_search(self, data):
+        m = data.draw(st.integers(1, 11))
+        states = [[None] * m for _ in range(m)]
+        for i, j in itertools.combinations(range(m), 2):
+            states[i][j] = states[j][i] = data.draw(st.sampled_from((None, RED, BLUE)))
+        states = tuple(tuple(row) for row in states)
+        verts = sorted(data.draw(st.sets(st.integers(0, m - 1))))
+        k = data.draw(st.integers(1, 4))
+        t_max = data.draw(st.integers(0, 5))
+        blue = data.draw(st.sampled_from((RED, BLUE)))
+        got = _find_blowup(reduced_of(states), verts, k, t_max, blue)
+        assert got == reference_find_blowup(states, verts, k, t_max, blue)
+
+    def test_random_k64_probe(self):
+        # the reduced graph of `pipeline --k 2 --parts 64 --t-max 30 --eta 0.9
+        # --delta 0.9` on `construct random --N 64 --seed 1`, where a search
+        # over every t-subset of the pool does not end for t near 30
+        col = random_colouring(64, 1)
+        part = make_partition(col, 64, seed=0, steps=200, eta=0.9)
+        red = build_reduced(col, part, 0.9, 0.9, seed=0)
+        verts = red.survivors()
+        assert len(verts) == 64
+        blow = _find_blowup(red, verts, 2, 30, BLUE)
+        assert blow == (5, ((0, 14, 28, 30, 58), (6, 20, 26, 52, 57)))
+        assert is_blowup(red.edge_colours, blow, 2, BLUE)
+        blow = _find_blowup(red, verts, 2, 30, RED)
+        assert blow is not None and is_blowup(red.edge_colours, blow, 2, RED)
