@@ -22,11 +22,6 @@ from .colouring import (
     common_pages,
 )
 
-#: From this vertex count on, ``max_book`` uses the dense matrix path for k
-#: in {2, 3}; below it, the pruning bitset search.
-DENSE_MIN_VERTICES = 192
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a certificate check; on rejection, ``reason`` names the
@@ -56,7 +51,7 @@ def max_book(col: Colouring, k: int) -> BookCertificate | None:
         raise ValueError("spine size must be at least 1")
     if k > col.n:
         return None
-    if k in (2, 3) and col.n >= DENSE_MIN_VERTICES:
+    if k in (2, 3):
         found = _max_book_dense(col, k)
     else:
         found = _max_book_bitset(col, k)

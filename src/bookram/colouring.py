@@ -218,7 +218,8 @@ def clique_pages(rows, candidates: int, inter: int, size: int, bar: int | None =
     """Yield ``(clique, pages)`` for every clique of ``size`` vertices in the
     adjacency ``rows`` with all its vertices in ``candidates``, in
     lexicographic order; ``pages`` is ``inter`` ANDed with the clique's rows.
-    ``candidates`` must lie inside ``inter``.
+    ``candidates`` must lie inside ``inter``.  A branch ends once fewer
+    candidates are left than picks still to make.
 
     With an int ``bar``, only cliques with more than ``bar`` pages are
     yielded, and each one yielded raises the bar to its page count.  A branch
@@ -248,7 +249,7 @@ def clique_pages(rows, candidates: int, inter: int, size: int, bar: int | None =
                 elif pages.bit_count() > bar:
                     bar = pages.bit_count()
                     yield (*clique, v), pages
-        elif candidates:
+        elif candidates.bit_count() > last - len(clique):
             low = candidates & -candidates
             candidates ^= low  # only candidates above v are left
             v = low.bit_length() - 1

@@ -751,39 +751,47 @@ def build_reduced(
 
 
 def _transversal_scan(col: Colouring, colour: int, spine_parts, page_parts):
-    """Enumerate the colour-c cliques with one vertex in each spine part
-    (parts may repeat, vertices stay distinct), each vertex set once, their
-    pages counted inside the union of the page parts.  Returns
+    """Enumerate the colour-c cliques with one vertex in each spine part,
+    each vertex set once, their pages counted inside the union of the page
+    parts.  Spine parts must be pairwise equal or disjoint (a part listed j
+    times gives j distinct vertices); others raise ValueError.  Returns
     (best, count, total_pages) where best is (page count, spine, page mask)
-    or None; the lexicographic order makes the first maximum the smallest
-    spine."""
+    or None, the smallest sorted spine winning ties."""
     copies = Counter(mask_of(p) for p in spine_parts)
-    # Hall's condition: the parts have distinct representatives in a spine iff
-    # every r of them meet it in at least r vertices.  Fewer copies of the same
-    # masks have the same union and ask less, so a group takes every copy of
-    # its masks, and each union keeps its largest group
-    need: dict[int, int] = {}
-    for r in range(1, len(copies) + 1):
-        for group in itertools.combinations(copies, r):
-            joined = 0
-            for m in group:
-                joined |= m
-            need[joined] = max(need.get(joined, 0), sum(copies[m] for m in group))
-    union = mask_of(v for p in spine_parts for v in p)
+    masks = list(copies)
+    if any(a & b for a, b in itertools.combinations(masks, 2)):
+        raise ValueError("spine parts must be pairwise equal or disjoint")
+    rows = col.adj[colour]
     page_mask = mask_of(v for p in page_parts for v in p)
     best: tuple[int, tuple[int, ...], int] | None = None
     count = 0
     total = 0
-    for spine, inter in clique_pages(col.adj[colour], union, col.full_mask(), len(spine_parts)):
-        chosen = mask_of(spine)
-        if any((chosen & m).bit_count() < r for m, r in need.items()):
+    # one level per distinct part, below them a root with the empty pick: the
+    # cliques of that part's copy count among the common neighbours of the
+    # picks of the levels under it
+    picks: list[tuple[int, ...]] = []
+    levels = [iter([((), col.full_mask())])]
+    while levels:
+        found = next(levels[-1], None)
+        if found is None:
+            levels.pop()
+            if picks:
+                picks.pop()
+            continue
+        clique, inter = found
+        if len(levels) <= len(masks):
+            picks.append(clique)
+            mask = masks[len(levels) - 1]
+            levels.append(clique_pages(rows, mask & inter, inter, copies[mask]))
             continue
         pages = inter & page_mask
         size = pages.bit_count()
         count += 1
         total += size
-        if best is None or size > best[0]:
-            best = (size, spine, pages)
+        if best is None or size >= best[0]:
+            spine = tuple(sorted(itertools.chain(clique, *picks)))
+            if best is None or size > best[0] or spine < best[1]:
+                best = (size, spine, pages)
     return best, count, total
 
 
@@ -855,8 +863,14 @@ def _find_blowup(reduced: ReducedGraph, verts: list[int], k: int, t_max: int, bl
         streams = [clique_pages(r, allowed, allowed, t) for r in rows[: 1 if t == 1 else 2]]
         return (clique for clique, _ in heapq.merge(*streams))
 
-    pool = mask_of(verts)
     for t in range(min(t_max, len(verts) // k if k > 0 else 0), 0, -1):
+        # each vertex of a blow-up has t(k - 1) blue neighbours inside it, so
+        # the pool is peeled until every vertex left has that many in it
+        pool = mask_of(verts)
+        while weak := mask_of(
+            v for v in bits(pool) if (rows[blue][v] & pool).bit_count() < t * (k - 1)
+        ):
+            pool ^= weak
         parts: list[tuple[int, ...]] = []
         # one level per part being chosen: its candidates left, and the
         # vertices a further part may use (the blue rows hold no vertex of
@@ -966,8 +980,8 @@ def extract_book(
             + ("nospine" if pages is None else f"got={pages}")
         )
 
-    def add_best_tuple(case, role_red, colour, pools, distinct):
-        tup = _best_tuple(reduced, pools, colour, surv, distinct)
+    def add_best_tuple(case, role_red, colour, tuples):
+        tup = _best_tuple(reduced, tuples, colour, surv)
         if tup is not None:
             chosen, page_idx = tup
             add_candidate(
@@ -1036,7 +1050,7 @@ def extract_book(
                             "B-escape", role_red, role_red, [subsets[a]] * k, f"W{a}^{k}", page_idx
                         )
                 if t >= k:
-                    add_best_tuple("B-blue", role_red, role_blue, [list(p)] * k, True)
+                    add_best_tuple("B-blue", role_red, role_blue, itertools.combinations(p, k))
                 else:
                     out(f"subcase\tblue-part-too-small\tt={t}\tk={k}")
 
@@ -1065,9 +1079,10 @@ def extract_book(
                 f"dichotomy\tlhs_blue={lhs_blue:.6f}\tthr_blue={thr_blue:.6f}"
                 f"\tfired={'y' if lhs_blue + _FUZZ >= thr_blue else 'n'}"
             )
-            add_best_tuple("end-blue", role_red, role_blue, [list(p) for p in parts], True)
+            add_best_tuple("end-blue", role_red, role_blue, itertools.product(*parts))
             for r in range(k):
-                add_best_tuple(f"end-red-{r}", role_red, role_red, [list(parts[r])] * k, False)
+                tuples = itertools.combinations_with_replacement(parts[r], k)
+                add_best_tuple(f"end-red-{r}", role_red, role_red, tuples)
 
     winner = None
     for idx, cert in certs.items():
@@ -1093,32 +1108,19 @@ def extract_book(
     return result, trace
 
 
-def _best_tuple(reduced, pools, colour, surv, distinct):
-    """Vertex tuple (one from each pool) maximising the exact sum over
-    admissible classes of the product of subset-to-class densities in
-    ``colour``.  Admissible classes survive deletion, avoid the tuple, and
-    have coloured edges to every tuple member."""
+def _best_tuple(reduced, tuples, colour, surv):
+    """Vertex tuple of ``tuples`` maximising the exact sum over admissible
+    classes of the product of subset-to-class densities in ``colour``.
+    Admissible classes survive deletion, avoid the tuple, and have coloured
+    edges to every tuple member."""
     states = reduced.edge_colours
 
     def dens(i, j):
         base = reduced.d_wv[i][j]
         return base if colour == RED else 1.0 - base
 
-    k = len(pools)
-    if distinct:
-        if len(pools[0]) < k and all(p == pools[0] for p in pools):
-            return None
-        combos = (
-            itertools.combinations(sorted(pools[0]), k)
-            if all(p == pools[0] for p in pools)
-            else itertools.product(*pools)
-        )
-    else:
-        combos = itertools.combinations_with_replacement(sorted(pools[0]), k)
     best = None
-    for tup in combos:
-        if distinct and len(set(tup)) != k:
-            continue
+    for tup in tuples:
         chosen = set(tup)
         page_idx = [
             j
@@ -1127,7 +1129,7 @@ def _best_tuple(reduced, pools, colour, surv, distinct):
         ]
         value = sum(math.prod(dens(a, j) for a in tup) for j in page_idx)
         if best is None or value > best[0] + _FUZZ:
-            best = (value, tuple(tup), page_idx)
+            best = (value, tup, page_idx)
     if best is None:
         return None
     return best[1], best[2]

@@ -117,13 +117,6 @@ def _book_test(k: int, n: int):
     return test
 
 
-def _creates_book(adj, u: int, v: int, c: int, k: int, n: int) -> bool:
-    """After edge (u, v) got colour c, does a monochromatic book with spine
-    size k and >= n pages exist among decided edges?  Runs the test
-    ``find_witness`` runs, picked by ``_book_test``."""
-    return _book_test(k, n)(adj[c], u, v)
-
-
 def find_witness(
     k: int,
     n: int,

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bookram.books import (
     _max_book_bitset,
@@ -63,6 +65,13 @@ class TestMaxBook:
         for seed in (1, 2, 3):
             col = random_colouring(size, seed)
             assert _max_book_dense(col, k) == _max_book_bitset(col, k)
+
+    @given(st.integers(1, 24), st.integers(2, 4), st.integers(0, 10**6), st.sampled_from((2, 3)))
+    @settings(max_examples=200, deadline=None)
+    def test_dense_equals_bitset_on_small_colourings(self, n, q, seed, k):
+        # max_book takes the dense path for k in {2, 3} at every size
+        col = random_small(n, seed, q)
+        assert _max_book_dense(col, k) == _max_book_bitset(col, k)
 
     def test_dispatch_above_threshold_matches(self):
         col = random_colouring(200, 4)

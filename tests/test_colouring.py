@@ -218,6 +218,22 @@ class TestCliquePages:
                 records.append((clique, pages))
         assert list(clique_pages(col.adj[c], candidates, inter, size, start)) == records
 
+    def test_branch_ends_short_of_candidates(self):
+        # 20 of the 22 candidates of an all-red K_24: a walk that extends
+        # every prefix of the candidates reads a row about 2^22 times
+        class CountingRows(list):
+            reads = 0
+
+            def __getitem__(self, v):
+                self.reads += 1
+                return super().__getitem__(v)
+
+        col = all_one_colour(24)
+        rows = CountingRows(col.adj[0])
+        got = [clique for clique, _ in clique_pages(rows, (1 << 22) - 1, col.full_mask(), 20)]
+        assert got == list(itertools.combinations(range(22), 20))
+        assert rows.reads < 5000
+
 
 class TestCommonPages:
     def test_all_red(self):

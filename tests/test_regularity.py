@@ -857,7 +857,7 @@ class TestTransversalBestSpine:
         # mono (k+1)-clique side
         for seed in (1, 2, 3):
             col = random_small(12, seed)
-            parts = [tuple(range(0, 6)), tuple(range(4, 10))]
+            parts = [tuple(range(0, 4)), tuple(range(4, 10))]
             pages = [tuple(range(8, 12))]
             for c in (0, 1):
                 count, total = transversal_page_stats(col, c, parts, pages)
@@ -873,16 +873,23 @@ class TestTransversalBestSpine:
                 assert total == rhs
 
     def test_overlapping_parts_match_bruteforce(self):
-        # overlapping parts, one listed twice: a spine counts only with
-        # distinct representatives, so the two copies of (0, 1) take both 0 and 1
-        parts = [(0, 1), (0, 1), (0, 1, 2), (1, 2, 5, 6, 7)]
+        # parts that overlap without being equal are refused
+        col = random_small(12, 1)
+        with pytest.raises(ValueError):
+            transversal_page_stats(col, 0, [(0, 1), (0, 1, 2)], [range(12)])
+        with pytest.raises(ValueError):
+            transversal_best_spine(col, 0, [(0, 1), (1, 2), (1, 2)], [range(12)])
+        # disjoint parts with interleaved labels, some listed twice: the scan
+        # meets the spines part by part, not in lexicographic order, and
+        # must still count them all and pick the smallest of the best
+        a, b, c3 = (1, 4, 7, 10), (0, 3, 6, 9, 11), (2, 5, 8)
         pages = [tuple(range(3, 12))]
         page_mask = mask_of(pages[0])
         for seed in (1, 2, 3, 4):
             col = all_one_colour(12) if seed == 4 else random_small(12, seed)
             for c in (0, 1):
-                for k in (3, 4):
-                    spine_parts = parts[:k]
+                for spine_parts in ([a, b, a], [a, b, a, c3], [c3, b, a, a], [b, b, b]):
+                    k = len(spine_parts)
                     fits = [s for s in mono_cliques(col, c, k) if _has_sdr(s, spine_parts)]
                     got = [(common_pages(col, c, s) & page_mask).bit_count() for s in fits]
                     stats = transversal_page_stats(col, c, spine_parts, pages)
@@ -904,23 +911,29 @@ class TestTransversalBestSpine:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_repeated_masks_match_bruteforce(self, data):
-        # parts drawn with repeats from three masks: the Hall table keeps one
-        # entry per group of distinct masks, each standing for all its copies
+        # parts drawn with repeats from three pairwise disjoint masks, each
+        # vertex in at most one of them
         n = 9
         col = random_small(n, data.draw(st.integers(0, 10**6)))
-        vertex_sets = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
-        masks = [tuple(sorted(data.draw(vertex_sets))) for _ in range(3)]
+        owner = data.draw(st.lists(st.sampled_from((None, 0, 1, 2)), min_size=n, max_size=n))
+        masks = [tuple(v for v in range(n) if owner[v] == i) for i in range(3)]
         spine_parts = data.draw(st.lists(st.sampled_from(masks), min_size=1, max_size=4))
+        vertex_sets = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
         pages = [tuple(sorted(data.draw(vertex_sets)))]
         c = data.draw(st.sampled_from((RED, BLUE)))
         page_mask = mask_of(pages[0])
         fits = [s for s in mono_cliques(col, c, len(spine_parts)) if _has_sdr(s, spine_parts)]
         got = [(common_pages(col, c, s) & page_mask).bit_count() for s in fits]
         assert transversal_page_stats(col, c, spine_parts, pages) == (len(fits), sum(got))
+        cert = transversal_best_spine(col, c, spine_parts, pages)
+        if not fits:
+            assert cert is None
+        else:
+            assert (cert.page_count, cert.spine) == (max(got), fits[got.index(max(got))])
 
     def test_twenty_copies_of_one_part(self):
-        # case A's spine parts at k = 20: a Hall table over every group of the
-        # copies would take 2^20 steps for a part that holds no spine at all
+        # case A's spine parts at k = 20: one kernel level asks for 20
+        # vertices of a 3-vertex part and ends at once
         col = all_one_colour(24)
         assert _transversal_scan(col, RED, [(0, 1, 2)] * 20, [range(24)]) == (None, 0, 0)
         best, count, total = _transversal_scan(col, RED, [tuple(range(6))] * 4, [range(24)])
@@ -1083,3 +1096,28 @@ class TestFindBlowup:
         assert is_blowup(red.edge_colours, blow, 2, BLUE)
         blow = _find_blowup(red, verts, 2, 30, RED)
         assert blow is not None and is_blowup(red.edge_colours, blow, 2, RED)
+
+    def test_all_red_pool_is_peeled(self, monkeypatch):
+        # no blue edge, so no vertex has the t blue neighbours a blow-up of
+        # two t-parts needs: the peel empties the pool for every t, where the
+        # first level would otherwise walk every red t-clique of 64 vertices
+        m = 64
+        states = tuple(tuple(None if i == j else RED for j in range(m)) for i in range(m))
+        streams = regularity.clique_pages
+        yields = 0
+
+        def bounded(*args):
+            nonlocal yields
+            for found in streams(*args):
+                yields += 1
+                if yields > 1000:
+                    raise AssertionError("the blow-up search walked past 1000 cliques")
+                yield found
+
+        monkeypatch.setattr(regularity, "clique_pages", bounded)
+        red = reduced_of(states)
+        assert _find_blowup(red, list(range(m)), 2, 30, BLUE) is None
+        # joined in red instead, every vertex stays and the first parts win
+        assert _find_blowup(red, list(range(m)), 2, 30, RED) == (
+            30, (tuple(range(30)), tuple(range(30, 60)))
+        )

@@ -15,7 +15,7 @@ from bookram.search import (
     INCONCLUSIVE,
     NONE,
     Budget,
-    _creates_book,
+    _book_test,
     find_witness,
     ramsey_book,
 )
@@ -196,7 +196,7 @@ def test_popcount_book_test_matches_brute_force_on_seeded_sweep():
         for (u, v), c in colour.items():
             if c is not None:
                 expected = book_through_edge(colour_of, size, u, v, c, k, n)
-                assert _creates_book(adj, u, v, c, k, n) == expected, (size, k, n, u, v, c)
+                assert _book_test(k, n)(adj[c], u, v) == expected, (size, k, n, u, v, c)
 
 
 class TestCreatesBook:
@@ -224,4 +224,4 @@ class TestCreatesBook:
         for (u, v), c in colour.items():
             if c is not None:
                 expected = book_through_edge(colour_of, size, u, v, c, k, n)
-                assert _creates_book(adj, u, v, c, k, n) == expected, (u, v, c)
+                assert _book_test(k, n)(adj[c], u, v) == expected, (u, v, c)
