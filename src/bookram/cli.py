@@ -152,10 +152,11 @@ def main(argv=None, out=None) -> int:
 
 
 def _dispatch(args, out) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+
     if args.command == "book":
         col = parse_colouring(_read(args.input))
-        if args.threads is not None and args.threads < 1:
-            raise ValueError("--threads must be at least 1")
         cert = books.max_book(col, args.k)
         if cert is None:
             _write(args.out, "NOSPINE\n", out)

@@ -10,16 +10,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .books import max_book
 from .colouring import (
+    HYPER_ENTRY_CAP,
     BookCertificate,
     Colouring,
     HyperColouring,
     _pack_rows,
+    _unpack_rows,
 )
+
+#: The colouring generators refuse to build more vertices than this.
+MAX_GENERATED_VERTICES = 1 << 14
 
 
 def pentagon_colouring() -> Colouring:
@@ -35,8 +41,8 @@ def pentagon_colouring() -> Colouring:
 def random_colouring(size: int, seed: int) -> Colouring:
     """Each edge independently red or blue with probability 1/2, drawn from a
     seeded PCG64 stream; identical (size, seed) gives identical bytes."""
-    if size < 1:
-        raise ValueError("need at least one vertex")
+    if not 1 <= size <= MAX_GENERATED_VERTICES:
+        raise ValueError(f"vertex count must lie in 1..{MAX_GENERATED_VERTICES}, got {size}")
     rng = np.random.default_rng(seed)
     m = rng.integers(0, 2, size=(size, size), dtype=np.uint8)
     blue = np.triu(m, 1)
@@ -56,23 +62,16 @@ def multicolour_blowup(base: Colouring, part_size: int) -> Colouring:
     if part_size < 1:
         raise ValueError("part size must be at least 1")
     total, q_out = base.n * part_size, base.q + 1
-
-    part_masks = []
-    block = (1 << part_size) - 1
-    for i in range(base.n):
-        part_masks.append(block << (i * part_size))
-
-    rows = [[0] * total for _ in range(q_out)]
-    for v in range(total):
-        pv = v // part_size
-        rows[base.q][v] = part_masks[pv] & ~(1 << v)
-        for c in range(base.q):
-            acc = 0
-            for j in range(base.n):
-                if j != pv and base.colour_of(pv, j) == c:
-                    acc |= part_masks[j]
-            rows[c][v] = acc
-    return Colouring(total, q_out, tuple(tuple(r) for r in rows))
+    if total > MAX_GENERATED_VERTICES:
+        raise ValueError(f"blow-up has {total} vertices, above the cap of {MAX_GENERATED_VERTICES}")
+    # the template's colours with the fresh one on its diagonal, blown up;
+    # the diagonal of the result gets q_out, which no colour matches
+    template = np.full((base.n, base.n), base.q, dtype=np.min_scalar_type(q_out))
+    for c in range(base.q):
+        template[_unpack_rows(base.adj[c], base.n) == 1] = c
+    matrix = template.repeat(part_size, 0).repeat(part_size, 1)
+    np.fill_diagonal(matrix, q_out)
+    return Colouring(total, q_out, tuple(_pack_rows(matrix == c) for c in range(q_out)))
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,6 @@ class BlowupVerdict:
 def verify_no_book_multicolour(col: Colouring, k: int, page_bound: int) -> BlowupVerdict:
     """Exact check that every colour's maximum book has fewer than
     ``page_bound`` pages (q >= 2 colours supported)."""
-    if k > col.n:
-        return BlowupVerdict(True, None)
     cert = max_book(col, k)
     if cert is None or cert.page_count < page_bound:
         return BlowupVerdict(True, None)
@@ -118,19 +115,6 @@ def hypergraph_blowup(base: HyperColouring, part_size: int, k: int) -> HyperColo
     return HyperColouring.from_edge_colours(total, base.s, colour_of)
 
 
-@dataclass(frozen=True)
-class HyperBookCertificate:
-    """Monochromatic hypergraph book: colour, spine K_k^(s), page vertices."""
-
-    colour: int
-    spine: tuple[int, ...]
-    pages: tuple[int, ...]
-
-    @property
-    def page_count(self) -> int:
-        return len(self.pages)
-
-
 def _spine_is_mono(h: HyperColouring, spine, colour: int) -> bool:
     return all(
         h.colour_of(e) == colour for e in itertools.combinations(spine, h.s)
@@ -153,12 +137,15 @@ def _hyper_pages(h: HyperColouring, spine, colour: int) -> tuple[int, ...]:
     return tuple(pages)
 
 
-def hyper_max_book(h: HyperColouring, k: int) -> HyperBookCertificate | None:
+def hyper_max_book(h: HyperColouring, k: int) -> BookCertificate | None:
     """Best page count over all monochromatic K_k^(s) spines; a spine with
     fewer than s vertices is vacuously monochromatic in both colours.
-    Tie-break: smaller colour, then lexicographically smallest spine."""
+    Tie-break: smaller colour, then lexicographically smallest spine.  More
+    than HYPER_ENTRY_CAP spines are refused before any is enumerated."""
     if k < h.s - 1:
         raise ValueError(f"spine size {k} below s-1 = {h.s - 1}")
+    if comb(h.n, k) > HYPER_ENTRY_CAP:
+        raise ValueError(f"C({h.n},{k}) = {comb(h.n, k)} spines exceed cap {HYPER_ENTRY_CAP}")
     if k > h.n:
         return None
     best = None
@@ -171,7 +158,7 @@ def hyper_max_book(h: HyperColouring, k: int) -> HyperBookCertificate | None:
                 best = (len(pages), colour, spine, pages)
     if best is None:
         return None
-    return HyperBookCertificate(best[1], best[2], best[3])
+    return BookCertificate(best[1], best[2], best[3])
 
 
 def search_hypergraph_base(

@@ -190,10 +190,6 @@ def _dichotomy_minimise(k: int, t: float) -> tuple[float, tuple[float, ...]]:
     ]
     best_val = math.inf
     best_x: list[float] = starts[0]
-
-    def value(xs: list[float]) -> float:
-        return sum((t - v) ** k for v in xs) / k + math.prod(xs)
-
     for start in starts:
         xs = list(start)
         for _ in range(200):
@@ -214,7 +210,7 @@ def _dichotomy_minimise(k: int, t: float) -> tuple[float, tuple[float, ...]]:
                 xs[i] = best_c
             if moved < 1e-13:
                 break
-        val = value(xs)
+        val = dichotomy_value(xs, t)
         if val < best_val - 1e-12:
             best_val, best_x = val, xs
     return best_val, tuple(best_x)

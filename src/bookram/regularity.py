@@ -93,7 +93,8 @@ def _probe_draws(rngs, trials: int, qa, na, qb, nb):
     generator and one column per trial, rows_a and rows_b one float 0/1 mark
     row per probe, padded to the widest set of the batch.  Batches stay
     within _CELL_CAP cells and _PROBE_CHUNK trials; each generator is left
-    where the calls leave it.
+    where the calls leave it.  A generator with a side above _FLOYD_LIMIT
+    forms a batch of its own, drawn by the calls themselves.
     """
     streams = len(rngs)
     qa, na, qb, nb = (
@@ -108,16 +109,22 @@ def _probe_draws(rngs, trials: int, qa, na, qb, nb):
     lo = 0
     while lo < streams:
         hi, wide = lo + 1, width[lo]
-        while hi < streams and rows * (hi + 1 - lo) * max(wide, width[hi]) <= _CELL_CAP:
+        while hi < streams and max(wide, width[hi]) <= min(
+            _FLOYD_LIMIT, _CELL_CAP // (rows * (hi + 1 - lo))
+        ):
             wide = max(wide, width[hi])
             hi += 1
         # a single generator above the cap takes fewer trials a call
         step = max(1, min(trials, _PROBE_CHUNK, _CELL_CAP // (2 * wide * (hi - lo))))
         part = slice(lo, hi)
         for done in range(0, trials, step):
-            yield (lo, done) + _decode_probes(
-                rngs[part], min(step, trials - done), qa[part], na[part], qb[part], nb[part]
-            )
+            count = min(step, trials - done)
+            if wide > _FLOYD_LIMIT:
+                sizes = (int(x[lo]) for x in (qa, na, qb, nb))
+                probes = tuple(x[None] for x in _probe_loop(rngs[lo], count, *sizes))
+            else:
+                probes = _decode_probes(rngs[part], count, qa[part], na[part], qb[part], nb[part])
+            yield (lo, done) + probes
         lo = hi
 
 
@@ -139,45 +146,24 @@ def _probe_loop(rng, count: int, qa: int, na: int, qb: int, nb: int):
 def _decode_probes(rngs, count: int, qa, na, qb, nb):
     """(su, sv, rows_a, rows_b) of ``count`` probes from each generator, as
     _probe_draws gives them, decoded from the raw 32-bit outputs the calls
-    read.  A generator whose draws include one that numpy rejects, or with a
-    side above _FLOYD_LIMIT, is drawn by the calls themselves instead.
+    read; every side is at most _FLOYD_LIMIT.  A generator whose draws
+    include one that numpy rejects is drawn by the calls themselves instead.
 
     A draw on [0, 0] reads nothing.  ``choice(n, s, replace=False)`` runs
     Floyd's algorithm: for j = n - s .. n - 1 it draws on [0, j] and takes
     the value unless it is already taken, then j.  It then shuffles with one
     draw on [0, i] for each i = s - 1 .. 1, which leaves the set as it is.
     """
-    wide = np.maximum(na, nb) > _FLOYD_LIMIT
-    if wide.any():
-        streams = len(rngs)
-        probes = (
-            np.empty((streams, count), dtype=np.int64),
-            np.empty((streams, count), dtype=np.int64),
-            np.zeros((streams, count, int(na.max()))),
-            np.zeros((streams, count, int(nb.max()))),
-        )
-        fast = np.flatnonzero(~wide)
-        if fast.size:
-            su, sv, rows_a, rows_b = _decode_probes(
-                [rngs[g] for g in fast], count, qa[fast], na[fast], qb[fast], nb[fast]
-            )
-            probes[0][fast], probes[1][fast] = su, sv
-            probes[2][fast, :, : rows_a.shape[2]] = rows_a
-            probes[3][fast, :, : rows_b.shape[2]] = rows_b
-        redo = np.flatnonzero(wide)
-    else:
-        starts = [g.bit_generator.state for g in rngs]
-        raw, base, drawn = _raw_outputs(rngs, starts, count * (2 + 2 * (na + nb)))
-        probes, ends, rejected = _decode_outputs(raw, base, count, qa, na, qb, nb)
-        for g, rng in enumerate(rngs):
-            if rejected[g]:
-                rng.bit_generator.state = starts[g]
-            else:
-                _leave_at(rng, starts[g], raw, int(base[g]), drawn[g], int(ends[g]))
-        redo = np.flatnonzero(rejected)
-    for g in redo.tolist():
+    starts = [g.bit_generator.state for g in rngs]
+    raw, base, drawn = _raw_outputs(rngs, starts, count * (2 + 2 * (na + nb)))
+    probes, ends, rejected = _decode_outputs(raw, base, count, qa, na, qb, nb)
+    for g, rng in enumerate(rngs):
+        if not rejected[g]:
+            _leave_at(rng, starts[g], raw, int(base[g]), drawn[g], int(ends[g]))
+            continue
+        rng.bit_generator.state = starts[g]
         a, b = int(na[g]), int(nb[g])
-        su, sv, rows_a, rows_b = _probe_loop(rngs[g], count, int(qa[g]), a, int(qb[g]), b)
+        su, sv, rows_a, rows_b = _probe_loop(rng, count, int(qa[g]), a, int(qb[g]), b)
         probes[0][g], probes[1][g], probes[2][g, :, :a], probes[3][g, :, :b] = su, sv, rows_a, rows_b
     return probes
 
@@ -545,19 +531,13 @@ def balanced_swap_search(col: Colouring, m: int, seed: int, steps: int):
             score[(i, j)] = pair_score(i, j)
     initial = total = sum(score.values())
 
-    for _ in range(steps):
-        if m < 2:
-            break
+    for _ in range(steps if m > 1 else 0):
         i, j = (int(x) for x in rng.choice(m, 2, replace=False))
         ui = int(rng.integers(len(classes[i])))
         vj = int(rng.integers(len(classes[j])))
-        u, v = classes[i][ui], classes[j][vj]
-        classes[i].remove(u)
-        classes[i].append(v)
-        classes[i].sort()
-        classes[j].remove(v)
-        classes[j].append(u)
-        classes[j].sort()
+        old = classes[i], classes[j]
+        classes[i] = sorted(old[0][:ui] + old[0][ui + 1 :] + [old[1][vj]])
+        classes[j] = sorted(old[1][:vj] + old[1][vj + 1 :] + [old[0][ui]])
         delta = 0.0
         new_vals = {}
         for key in score:
@@ -569,12 +549,7 @@ def balanced_swap_search(col: Colouring, m: int, seed: int, steps: int):
             score.update(new_vals)
             total += delta
         else:
-            classes[i].remove(v)
-            classes[i].append(u)
-            classes[i].sort()
-            classes[j].remove(u)
-            classes[j].append(v)
-            classes[j].sort()
+            classes[i], classes[j] = old
     return classes, initial, total
 
 
@@ -628,6 +603,11 @@ class ReducedGraph:
 
     def survivors(self) -> list[int]:
         return [i for i in range(self.m) if i not in self.deleted]
+
+    def subset_density(self, colour: int, i: int, j: int) -> float:
+        """Density of ``colour`` from the subset W_i to the class V_j."""
+        red = self.d_wv[i][j]
+        return red if colour == RED else 1.0 - red
 
     def coloured_degree(self, i: int, colour: int) -> int:
         return sum(
@@ -949,10 +929,6 @@ def extract_book(
     out("vertex_colours\t" + "".join("r" if c == RED else "b" for c in reduced.vertex_colours))
     out("deleted\t" + (" ".join(str(i) for i in sorted(reduced.deleted)) or "-"))
 
-    def dens_wv(colour: int, i: int, j: int) -> float:
-        base = reduced.d_wv[i][j]
-        return base if colour == RED else 1.0 - base
-
     def coloured(i: int, j: int) -> bool:
         return states[i][j] is not None
 
@@ -1035,7 +1011,7 @@ def extract_book(
                 all_red = False
                 for a in p:
                     total = sum(
-                        dens_wv(role_red, a, j)
+                        reduced.subset_density(role_red, a, j)
                         for j in surv
                         if j != a and coloured(a, j)
                     )
@@ -1057,7 +1033,7 @@ def extract_book(
         if all_red:
             etab = {
                 v: [
-                    sum(dens_wv(role_blue, w, v) for w in parts[i])
+                    sum(reduced.subset_density(role_blue, w, v) for w in parts[i])
                     for i in range(k)
                 ]
                 for v in surv
@@ -1114,11 +1090,6 @@ def _best_tuple(reduced, tuples, colour, surv):
     Admissible classes survive deletion, avoid the tuple, and have coloured
     edges to every tuple member."""
     states = reduced.edge_colours
-
-    def dens(i, j):
-        base = reduced.d_wv[i][j]
-        return base if colour == RED else 1.0 - base
-
     best = None
     for tup in tuples:
         chosen = set(tup)
@@ -1127,7 +1098,9 @@ def _best_tuple(reduced, tuples, colour, surv):
             for j in surv
             if j not in chosen and all(states[a][j] is not None for a in tup)
         ]
-        value = sum(math.prod(dens(a, j) for a in tup) for j in page_idx)
+        value = sum(
+            math.prod(reduced.subset_density(colour, a, j) for a in tup) for j in page_idx
+        )
         if best is None or value > best[0] + _FUZZ:
             best = (value, tup, page_idx)
     if best is None:

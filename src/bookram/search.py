@@ -203,6 +203,7 @@ def ramsey_book(k: int, n: int, budget: Budget | None = None) -> ExactResult:
     total_nodes = 0
     lower = 0
     witness = None
+    status, upper = BOUNDED, None
     size = 1
     while True:
         remaining = Budget(
@@ -212,20 +213,13 @@ def ramsey_book(k: int, n: int, budget: Budget | None = None) -> ExactResult:
         if (remaining.max_nodes is not None and remaining.max_nodes <= 0) or (
             remaining.max_seconds is not None and remaining.max_seconds <= 0
         ):
-            return ExactResult(
-                k, n, BOUNDED, lower, None, witness, total_nodes, time.perf_counter() - t0
-            )
+            break
         res = find_witness(k, n, size, remaining)
         total_nodes += res.nodes
-        if res.status == FOUND:
-            lower = size
-            witness = res.colouring
-            size += 1
-        elif res.status == NONE:
-            return ExactResult(
-                k, n, EXACT, lower, size, witness, total_nodes, time.perf_counter() - t0
-            )
-        else:
-            return ExactResult(
-                k, n, BOUNDED, lower, None, witness, total_nodes, time.perf_counter() - t0
-            )
+        if res.status != FOUND:
+            if res.status == NONE:
+                status, upper = EXACT, size
+            break
+        lower, witness = size, res.colouring
+        size += 1
+    return ExactResult(k, n, status, lower, upper, witness, total_nodes, time.perf_counter() - t0)

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from bookram import sat, search
+from bookram import constructions, sat, search
 from bookram.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INTERNAL,
@@ -161,6 +161,17 @@ class TestConstructCommand:
         assert code == EXIT_OK
         col = parse_colouring(text)
         assert col.n == 15 and col.q == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["construct", "random", "--N", "16", "--seed", "1"], ["construct", "blowup", "--n", "4"]],
+    )
+    def test_vertex_cap_refused(self, argv, monkeypatch, capsys):
+        # checked against a small cap, so a missing check allocates little
+        monkeypatch.setattr(constructions, "MAX_GENERATED_VERTICES", 15)
+        code, text = run(argv)
+        assert code == EXIT_USAGE and text == ""
+        assert "15" in capsys.readouterr().err
 
     def test_hblowup_roundtrip(self, tmp_path):
         from bookram.colouring import emit_hypercolouring, parse_hypercolouring
@@ -362,9 +373,24 @@ class TestThreads:
         code, text = run(["--threads", "2", "book", "--k", "2", "--input", pentagon_file])
         assert code == EXIT_OK and text.splitlines()[0] == "BOOK 0 2 0"
 
-    def test_invalid_threads(self, pentagon_file):
-        code, _ = run(["--threads", "0", "book", "--k", "2", "--input", pentagon_file])
-        assert code == EXIT_USAGE
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["book", "--k", "2", "--input", "{knc}"],
+            ["profile", "--k", "2", "--input", "{knc}"],
+            ["search", "--k", "1", "--n", "1"],
+            ["construct", "random", "--N", "5", "--seed", "1"],
+            # refused before the input is read
+            ["book", "--k", "2", "--input", "{missing}"],
+        ],
+        ids=["book", "profile", "search", "construct-random", "book-missing-input"],
+    )
+    def test_invalid_threads(self, pentagon_file, tmp_path, command, capsys):
+        missing = str(tmp_path / "missing.knc")
+        argv = [arg.format(knc=pentagon_file, missing=missing) for arg in command]
+        code, text = run(["--threads", "0"] + argv)
+        assert code == EXIT_USAGE and text == ""
+        assert "--threads" in capsys.readouterr().err
 
 
 class TestUsageErrors:

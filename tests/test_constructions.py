@@ -4,14 +4,21 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bookram import constructions
 from bookram.colouring import (
+    HYPER_ENTRY_CAP,
+    Colouring,
     HyperColouring,
     common_pages,
+    emit_certificate,
     emit_colouring,
     mono_cliques,
 )
 from bookram.constructions import (
+    MAX_GENERATED_VERTICES,
     hyper_max_book,
     hypergraph_blowup,
     multicolour_blowup,
@@ -36,6 +43,14 @@ class TestRandomColouring:
 
     def test_different_seeds_differ(self):
         assert random_colouring(20, 1) != random_colouring(20, 2)
+
+    def test_vertex_cap(self, monkeypatch):
+        # checked against a small cap, so a missing check allocates little
+        assert MAX_GENERATED_VERTICES == 1 << 14
+        monkeypatch.setattr(constructions, "MAX_GENERATED_VERTICES", 12)
+        assert random_colouring(12, 0).n == 12
+        with pytest.raises(ValueError, match="12"):
+            random_colouring(13, 0)
 
     def test_valid_colouring(self):
         random_colouring(33, 5).validate()
@@ -70,6 +85,28 @@ class TestMulticolourBlowup:
         assert col.colour_of(2, 3) == 2
         for u, v in ((0, 2), (0, 3), (1, 2), (1, 3)):
             assert col.colour_of(u, v) == 0
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_edge_follows_the_rule(self, data):
+        # across parts the template colour, inside a part the fresh colour
+        q = data.draw(st.integers(2, 4))
+        n = data.draw(st.integers(1, 7))
+        p = data.draw(st.integers(1, 4))
+        colours = data.draw(st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n))
+        base = Colouring.from_edge_colours(n, q, lambda u, v: colours[u * n + v])
+        col = multicolour_blowup(base, p)
+        col.validate()
+        assert (col.n, col.q) == (n * p, q + 1)
+        for u, v in itertools.combinations(range(n * p), 2):
+            want = q if u // p == v // p else base.colour_of(u // p, v // p)
+            assert col.colour_of(u, v) == want
+
+    def test_vertex_cap(self, monkeypatch):
+        monkeypatch.setattr(constructions, "MAX_GENERATED_VERTICES", 15)
+        assert multicolour_blowup(pentagon_colouring(), 3).n == 15
+        with pytest.raises(ValueError, match="15"):
+            multicolour_blowup(pentagon_colouring(), 4)
 
     def test_pentagon_blowup_shape(self):
         col = multicolour_blowup(pentagon_colouring(), 3)
@@ -182,6 +219,17 @@ class TestHyperMaxBook:
         assert cert.colour == 0
         assert cert.spine == (0, 1, 2)
         assert cert.page_count == 2
+
+    def test_certificate_renders(self):
+        h = HyperColouring.from_edge_colours(5, 3, lambda e: 0)
+        assert emit_certificate(hyper_max_book(h, 3)) == "BOOK 0 3 2\n1 2 3\n4 5\n"
+
+    def test_spine_cap_refused_before_enumerating(self, monkeypatch):
+        h = HyperColouring.from_edge_colours(40, 3, lambda e: 0)
+        assert comb(40, 10) > HYPER_ENTRY_CAP
+        monkeypatch.setattr(constructions, "_spine_is_mono", lambda *args: pytest.fail("enumerated"))
+        with pytest.raises(ValueError, match="cap"):
+            hyper_max_book(h, 10)
 
     def test_spine_equals_vertex_count(self):
         h = HyperColouring.from_edge_colours(5, 3, lambda e: 0)

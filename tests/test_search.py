@@ -145,6 +145,21 @@ class TestRamseyBook:
         assert res.nodes == max_nodes + 1
         assert not has_mono_book(res.witness, k, n)
 
+    @pytest.mark.parametrize(
+        "budget, want",
+        [
+            (Budget(max_nodes=0), (BOUNDED, 0, None, 0)),
+            (Budget(max_nodes=1), (BOUNDED, 2, None, 1)),
+            (Budget(max_nodes=50), (BOUNDED, 5, None, 51)),
+            (Budget(max_nodes=5000), (BOUNDED, 7, None, 5001)),
+            (Budget(max_seconds=0.0), (BOUNDED, 0, None, 0)),
+        ],
+    )
+    def test_budgeted_brackets_pinned(self, budget, want):
+        res = ramsey_book(2, 2, budget)
+        assert (res.status, res.lower, res.upper, res.nodes) == want
+        assert (res.witness is None) == (res.lower == 0)
+
     def test_budget_reports_bounded(self):
         res = ramsey_book(2, 2, Budget(max_nodes=50))
         assert res.status == BOUNDED
