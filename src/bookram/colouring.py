@@ -204,8 +204,11 @@ def parse_colouring(text: str) -> Colouring:
 def emit_colouring(col: Colouring) -> str:
     """Canonical KNC text: no comments, single spaces, LF endings.
 
-    Assumes every edge carries exactly one colour (see ``validate``).
+    Assumes every edge carries exactly one colour (see ``validate``).  KNC
+    holds one digit per edge, so more than 10 colours raise ValueError.
     """
+    if col.q > 10:
+        raise ValueError(f"KNC holds at most 10 colours, not {col.q}")
     text = np.full((col.n, col.n), ord("0"), dtype=np.uint8)
     for c in range(1, col.q):
         text += c * _unpack_rows(col.adj[c], col.n)
@@ -335,22 +338,26 @@ class HyperColouring:
             raise ValueError("uniformity must be at least 3")
         if self.n < self.s:
             raise ValueError("need at least s vertices")
-        total = comb(self.n, self.s)
-        if total > HYPER_ENTRY_CAP:
-            raise ValueError(f"C({self.n},{self.s}) = {total} exceeds cap {HYPER_ENTRY_CAP}")
-        if len(self.colours) != total:
+        _check_hyper_cap(self.n, self.s)
+        if len(self.colours) != comb(self.n, self.s):
             raise ValueError("colour table has wrong length")
         if any(c not in (0, 1) for c in self.colours):
             raise ValueError("hypergraph colours must be 0 or 1")
 
     @staticmethod
     def from_edge_colours(n: int, s: int, colour_of) -> "HyperColouring":
+        _check_hyper_cap(n, s)
         cols = tuple(colour_of(e) for e in itertools.combinations(range(n), s))
         return HyperColouring(n, s, cols)
 
     def colour_of(self, edge) -> int:
         t = tuple(edge)
         return self.colours[_subset_rank(t, self.n, self.s)]
+
+
+def _check_hyper_cap(n: int, s: int) -> None:
+    if comb(n, s) > HYPER_ENTRY_CAP:
+        raise ValueError(f"C({n},{s}) = {comb(n, s)} exceeds cap {HYPER_ENTRY_CAP}")
 
 
 def _subset_rank(t: tuple[int, ...], n: int, s: int) -> int:

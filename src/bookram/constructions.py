@@ -44,12 +44,12 @@ def random_colouring(size: int, seed: int) -> Colouring:
     if not 1 <= size <= MAX_GENERATED_VERTICES:
         raise ValueError(f"vertex count must lie in 1..{MAX_GENERATED_VERTICES}, got {size}")
     rng = np.random.default_rng(seed)
-    m = rng.integers(0, 2, size=(size, size), dtype=np.uint8)
-    blue = np.triu(m, 1)
-    blue = blue | blue.T
-    red = np.triu(m ^ 1, 1)
-    red = red | red.T
-    return Colouring(size, 2, (_pack_rows(red), _pack_rows(blue)))
+    # the upper triangle of one draw is the colour matrix; 2 on the diagonal
+    # is neither colour
+    matrix = np.triu(rng.integers(0, 2, size=(size, size), dtype=np.uint8), 1)
+    matrix |= matrix.T
+    np.fill_diagonal(matrix, 2)
+    return Colouring(size, 2, tuple(_pack_rows(matrix == c) for c in range(2)))
 
 
 def multicolour_blowup(base: Colouring, part_size: int) -> Colouring:

@@ -16,6 +16,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .colouring import (
     RED,
     BookCertificate,
     Colouring,
+    _pack_rows,
     _unpack_rows,
     bits,
     clique_pages,
@@ -609,11 +611,18 @@ class ReducedGraph:
         red = self.d_wv[i][j]
         return red if colour == RED else 1.0 - red
 
-    def coloured_degree(self, i: int, colour: int) -> int:
-        return sum(
-            1
-            for j in self.survivors()
-            if j != i and self.edge_colours[i][j] == colour
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Red and blue bitmask rows over the surviving classes: bit j of
+        row i is set when j survives deletion, j != i and edge (i, j) has
+        that colour."""
+        alive = mask_of(self.survivors())
+        return tuple(
+            tuple(
+                mask_of(j for j, st in enumerate(row) if st == c and j != i) & alive
+                for i, row in enumerate(self.edge_colours)
+            )
+            for c in (RED, BLUE)
         )
 
 
@@ -649,42 +658,31 @@ def build_reduced(
     to_class = red @ in_class.T
     to_subset = red @ in_subset.T
 
-    def densities(rows, hits, cols):
-        return [
-            [int(hits[i, j]) / (len(rows[i]) * len(cols[j])) for j in range(m)]
-            for i in range(m)
-        ]
-
+    # int64 counts over int64 sizes give the float64 of Python's int / int
+    class_sizes, subset_sizes = in_class.sum(1), in_subset.sum(1)
     subset_hits = in_subset @ to_subset
-    d_vv = densities(classes, in_class @ to_class, classes)
-    d_wv = densities(subsets, in_subset @ to_class, classes)
-    d_ww = densities(subsets, subset_hits, subsets)
+    d_vv = (in_class @ to_class) / np.outer(class_sizes, class_sizes)
+    d_wv = (in_subset @ to_class) / np.outer(subset_sizes, class_sizes)
+    d_ww = subset_hits / np.outer(subset_sizes, subset_sizes)
+    # every edge is red or blue, so the blue ordered pairs inside W_i are the
+    # size(size - 1) off-diagonal pairs less the red ones
+    blue_inside = (subset_sizes * (subset_sizes - 1) - subset_hits.diagonal()) / subset_sizes**2
+    vcols = np.where(d_ww.diagonal() >= blue_inside, RED, BLUE)
 
-    vcols = []
-    for i in range(m):
-        red_inside = d_ww[i][i]
-        # every edge is red or blue, so the blue ordered pairs inside W_i are
-        # the size(size - 1) off-diagonal pairs less the red ones
-        size = len(subsets[i])
-        blue_inside = (size * (size - 1) - int(subset_hits[i, i])) / (size * size)
-        vcols.append(RED if red_inside >= blue_inside else BLUE)
-
-    states: list[list[int | None]] = [[None] * m for _ in range(m)]
-    alive = [
-        (i, j)
-        for i in range(m)
-        for j in range(i + 1, m)
-        if abs(d_wv[i][j] - d_vv[i][j]) <= eta + _FUZZ
-        and abs(d_wv[j][i] - d_vv[i][j]) <= eta + _FUZZ
-        and abs(d_ww[i][j] - d_vv[i][j]) <= eta + _FUZZ
-    ]
+    agree = (
+        (abs(d_wv - d_vv) <= eta + _FUZZ)
+        & (abs(d_wv.T - d_vv) <= eta + _FUZZ)
+        & (abs(d_ww - d_vv) <= eta + _FUZZ)
+    )
+    alive = np.argwhere(np.triu(agree, 1))
     # gate idx of an edge is drawn only when it passed gates 0 .. idx - 1;
     # each stage scores the gates of every edge still alive in one batch
     for idx in range(4):
-        if not alive:
+        if not len(alive):
             break
         gates = []
-        for i, j in alive:
+        pairs = alive.tolist()
+        for i, j in pairs:
             x, y = (
                 (classes[i], classes[j]),
                 (subsets[i], classes[j]),
@@ -692,41 +690,35 @@ def build_reduced(
                 (subsets[i], subsets[j]),
             )[idx]
             gates.append(red.take(x, 0).take(y, 1))
-        seeds = [_derive_seed(seed, i, j, idx) for i, j in alive]
+        seeds = [_derive_seed(seed, i, j, idx) for i, j in pairs]
         found = _sampled_gates(gates, eta, trials, seeds)
-        alive = [edge for edge, bad in zip(alive, found) if bad is None]
-    for i, j in alive:
-        colour = RED if d_vv[i][j] >= 1.0 - delta - _FUZZ else BLUE
-        states[i][j] = states[j][i] = colour
+        alive = alive[[bad is None for bad in found]]
+    passed = np.zeros((m, m), dtype=bool)
+    passed[alive[:, 0], alive[:, 1]] = True
+    passed |= passed.T
+    states = np.where(passed, np.where(d_vv >= 1.0 - delta - _FUZZ, RED, BLUE), None)
 
-    deleted: set[int] = set()
+    # max keeps the first of equal degrees, so ties go to the lowest index
+    coloured = _pack_rows(passed)
     threshold = math.sqrt(eta) * m
-    while True:
-        worst_deg, worst_vertex = -1, None
-        for i in range(m):
-            if i in deleted:
-                continue
-            deg = sum(
-                1
-                for j in range(m)
-                if j != i and j not in deleted and states[i][j] is None
-            )
-            if deg > worst_deg:
-                worst_deg, worst_vertex = deg, i
-        if worst_vertex is None or worst_deg <= threshold + _FUZZ:
-            break
-        deleted.add(worst_vertex)
+    keep = (1 << m) - 1
+
+    def uncoloured(i: int) -> int:
+        return (keep & ~coloured[i] & ~(1 << i)).bit_count()
+
+    while keep and uncoloured(worst := max(bits(keep), key=uncoloured)) > threshold + _FUZZ:
+        keep ^= 1 << worst
 
     return ReducedGraph(
         partition=partition,
         eta=eta,
         delta=delta,
-        vertex_colours=tuple(vcols),
-        edge_colours=tuple(tuple(row) for row in states),
-        d_vv=tuple(tuple(r) for r in d_vv),
-        d_wv=tuple(tuple(r) for r in d_wv),
-        d_ww=tuple(tuple(r) for r in d_ww),
-        deleted=frozenset(deleted),
+        vertex_colours=tuple(vcols.tolist()),
+        edge_colours=tuple(map(tuple, states.tolist())),
+        d_vv=tuple(map(tuple, d_vv.tolist())),
+        d_wv=tuple(map(tuple, d_wv.tolist())),
+        d_ww=tuple(map(tuple, d_ww.tolist())),
+        deleted=frozenset(bits(((1 << m) - 1) ^ keep)),
     )
 
 
@@ -830,11 +822,7 @@ def _find_blowup(reduced: ReducedGraph, verts: list[int], k: int, t_max: int, bl
     monochromatic clique in the reduced edge colouring, pairwise joined
     entirely in ``blue``.  Deterministic lexicographic search; parts are
     ordered by their smallest element."""
-    rows = ([0] * reduced.m, [0] * reduced.m)  # red and blue reduced edges
-    for i, row in enumerate(reduced.edge_colours):
-        for j, st in enumerate(row):
-            if st is not None:
-                rows[st][i] |= 1 << j
+    rows = reduced.rows
 
     def mono_cliques_in(allowed: int, t: int):
         # the red and the blue t-cliques in allowed, in one lexicographic
@@ -914,23 +902,11 @@ def extract_book(
         out(f"subset\t{i}\t" + " ".join(str(v + 1) for v in w))
     for i in range(m):
         out("dvv\t" + "\t".join(f"{reduced.d_vv[i][j]:.6f}" for j in range(m)))
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            if i == j:
-                row.append("-")
-            else:
-                st = states[i][j]
-                row.append("." if st is None else ("r" if st == RED else "b"))
-        rows.append("".join(row))
-    for i, r in enumerate(rows):
-        out(f"edges\t{i}\t{r}")
+    for i, row in enumerate(states):
+        marks = ("-" if j == i else "." if st is None else "rb"[st] for j, st in enumerate(row))
+        out(f"edges\t{i}\t" + "".join(marks))
     out("vertex_colours\t" + "".join("r" if c == RED else "b" for c in reduced.vertex_colours))
     out("deleted\t" + (" ".join(str(i) for i in sorted(reduced.deleted)) or "-"))
-
-    def coloured(i: int, j: int) -> bool:
-        return states[i][j] is not None
 
     certs: dict[int, BookCertificate] = {}
 
@@ -957,7 +933,7 @@ def extract_book(
         )
 
     def add_best_tuple(case, role_red, colour, tuples):
-        tup = _best_tuple(reduced, tuples, colour, surv)
+        tup = _best_tuple(reduced, tuples, colour)
         if tup is not None:
             chosen, page_idx = tup
             add_candidate(
@@ -976,13 +952,11 @@ def extract_book(
         for a in surv:
             if reduced.vertex_colours[a] != role_red:
                 continue
-            deg = reduced.coloured_degree(a, role_red)
+            deg = reduced.rows[role_red][a].bit_count()
             if deg + _FUZZ >= ell:
                 fired_a = True
                 out(f"caseA\tvertex={a}\tred_degree={deg}\tell={ell:.6f}")
-                page_idx = [a] + [
-                    j for j in surv if j != a and states[a][j] == role_red
-                ]
+                page_idx = [a, *bits(reduced.rows[role_red][a])]
                 add_candidate("A", role_red, role_red, [subsets[a]] * k, f"W{a}^{k}", page_idx)
         if not fired_a:
             out("caseA\tnone")
@@ -998,32 +972,23 @@ def extract_book(
             % (t, ";".join(",".join(str(v) for v in p) for p in parts))
         )
 
-        def part_colour(p):
-            if len(p) == 1:
-                return role_red  # vacuous clique counts as red
-            return states[p[0]][p[1]]
-
         all_red = True
         for pi, p in enumerate(parts):
-            pc = part_colour(p)
+            pc = role_red if len(p) == 1 else states[p[0]][p[1]]  # one vertex counts as red
             out(f"part\t{pi}\tinternal={'r' if pc == role_red else 'b'}")
             if pc != role_red:
                 all_red = False
                 for a in p:
-                    total = sum(
-                        reduced.subset_density(role_red, a, j)
-                        for j in surv
-                        if j != a and coloured(a, j)
-                    )
+                    near = list(bits(reduced.rows[RED][a] | reduced.rows[BLUE][a]))
+                    total = sum(reduced.subset_density(role_red, a, j) for j in near)
                     escaped = total + _FUZZ >= m / 2.0
                     out(
                         f"escape\tvertex={a}\tsum={total:.6f}\tthreshold={m / 2.0:.6f}"
                         f"\tfired={'y' if escaped else 'n'}"
                     )
                     if escaped:
-                        page_idx = [a] + [j for j in surv if j != a and coloured(a, j)]
                         add_candidate(
-                            "B-escape", role_red, role_red, [subsets[a]] * k, f"W{a}^{k}", page_idx
+                            "B-escape", role_red, role_red, [subsets[a]] * k, f"W{a}^{k}", [a, *near]
                         )
                 if t >= k:
                     add_best_tuple("B-blue", role_red, role_blue, itertools.combinations(p, k))
@@ -1084,20 +1049,19 @@ def extract_book(
     return result, trace
 
 
-def _best_tuple(reduced, tuples, colour, surv):
+def _best_tuple(reduced, tuples, colour):
     """Vertex tuple of ``tuples`` maximising the exact sum over admissible
     classes of the product of subset-to-class densities in ``colour``.
     Admissible classes survive deletion, avoid the tuple, and have coloured
-    edges to every tuple member."""
-    states = reduced.edge_colours
+    edges to every tuple member: the bits of every member's coloured row."""
+    red, blue = reduced.rows
+    alive = mask_of(reduced.survivors())
     best = None
     for tup in tuples:
-        chosen = set(tup)
-        page_idx = [
-            j
-            for j in surv
-            if j not in chosen and all(states[a][j] is not None for a in tup)
-        ]
+        admissible = alive
+        for a in tup:
+            admissible &= red[a] | blue[a]
+        page_idx = list(bits(admissible))
         value = sum(
             math.prod(reduced.subset_density(colour, a, j) for a in tup) for j in page_idx
         )

@@ -173,6 +173,31 @@ class TestConstructCommand:
         assert code == EXIT_USAGE and text == ""
         assert "15" in capsys.readouterr().err
 
+    def test_blowup_of_ten_colours_refused(self, tmp_path, capsys):
+        # the blow-up adds an eleventh colour, which KNC cannot hold
+        base = tmp_path / "base.knc"
+        base.write_text(emit_colouring(all_one_colour(4, 9, q=10)))
+        code, text = run(["construct", "blowup", "--base", str(base), "--n", "2"])
+        assert code == EXIT_USAGE and text == ""
+        assert "10 colours" in capsys.readouterr().err
+        code, text = run(["construct", "blowup", "--base", str(base), "--n", "1"])
+        assert code == EXIT_USAGE and text == ""
+
+    def test_hblowup_cap_refused_before_enumerating(self, tmp_path, monkeypatch, capsys):
+        # 6,000 vertices hold C(6000, 3) edges, far above the cap; not one
+        # base colour may be looked up before the refusal
+        from bookram.colouring import HyperColouring
+
+        def no_lookup(self, edge):
+            raise AssertionError("edge enumerated before the cap check")
+
+        monkeypatch.setattr(HyperColouring, "colour_of", no_lookup)
+        base = tmp_path / "base.knsc"
+        base.write_text("KNSC 1 3 3\n1 2 3 0\n")
+        code, text = run(["construct", "hblowup", "--base", str(base), "--n", "2000", "--k", "3"])
+        assert code == EXIT_USAGE and text == ""
+        assert "exceeds cap" in capsys.readouterr().err
+
     def test_hblowup_roundtrip(self, tmp_path):
         from bookram.colouring import emit_hypercolouring, parse_hypercolouring
         from bookram.constructions import search_hypergraph_base

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bookram.colouring import (
+    HYPER_ENTRY_CAP,
     BookCertificate,
     Colouring,
     FormatError,
@@ -79,6 +80,13 @@ class TestParseColouring:
 
     def test_emit_all_red_k3(self):
         assert emit_colouring(all_one_colour(3)) == "KNC 1 3 2\n00\n0\n"
+
+    def test_emit_refuses_more_than_ten_colours(self):
+        # one digit per edge: colour 10 would be written as ':', which the
+        # parser refuses
+        assert parse_colouring(emit_colouring(all_one_colour(4, 9, q=10))).q == 10
+        with pytest.raises(ValueError, match="at most 10 colours"):
+            emit_colouring(all_one_colour(4, 10, q=11))
 
     def test_parse_emit_identity_on_values(self):
         for seed in range(10):
@@ -345,6 +353,21 @@ class TestHyperColouring:
     def test_entry_cap(self):
         with pytest.raises(FormatError):
             parse_hypercolouring("KNSC 1 60 6\n")
+
+    def test_entry_cap_refused_before_enumerating(self):
+        calls = 0
+
+        def colour_of(edge):
+            nonlocal calls
+            calls += 1
+            return 0
+
+        with pytest.raises(ValueError, match="exceeds cap"):
+            HyperColouring.from_edge_colours(300, 3, colour_of)
+        assert calls == 0
+        assert comb(300, 3) > HYPER_ENTRY_CAP >= comb(290, 3)
+        HyperColouring.from_edge_colours(9, 3, colour_of)
+        assert calls == comb(9, 3)
 
 
 class TestCertificateIO:

@@ -3,6 +3,7 @@
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +55,15 @@ class TestRandomColouring:
 
     def test_valid_colouring(self):
         random_colouring(33, 5).validate()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 333])
+    def test_edges_read_the_upper_triangle_of_the_draw(self, n):
+        # edge (u, v), u < v, takes the draw's entry in row u, column v
+        draw = np.random.default_rng(n).integers(0, 2, size=(n, n), dtype=np.uint8)
+        col = random_colouring(n, n)
+        for u, v in itertools.combinations(range(n), 2):
+            assert col.colour_of(u, v) == draw[u, v]
+        col.validate()
 
     def test_edge_fraction_n2048(self):
         # binomial model: red fraction within 4 sigma, sigma = 1/(2 sqrt(E))

@@ -1,8 +1,10 @@
 """Density pipeline: regularity checks, partitions, reduced graphs,
 transversal spines, and the extraction case analysis."""
 
+import dataclasses
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -1121,3 +1123,87 @@ class TestFindBlowup:
         assert _find_blowup(red, list(range(m)), 2, 30, RED) == (
             30, (tuple(range(30)), tuple(range(30, 60)))
         )
+
+
+@st.composite
+def partial_reduced(draw):
+    """A reduced graph on singleton classes: random edge colours (some
+    uncoloured), a random deleted set and subset densities on a coarse grid,
+    so that tuple values tie."""
+    m = draw(st.integers(1, 9))
+    states = [[None] * m for _ in range(m)]
+    for i, j in itertools.combinations(range(m), 2):
+        states[i][j] = states[j][i] = draw(st.sampled_from((None, RED, BLUE)))
+    grid = st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0))
+    d_wv = tuple(tuple(draw(grid) for _ in range(m)) for _ in range(m))
+    deleted = frozenset(draw(st.sets(st.integers(0, m - 1))))
+    states = tuple(tuple(row) for row in states)
+    return dataclasses.replace(reduced_of(states), d_wv=d_wv, deleted=deleted)
+
+
+def reference_best_tuple(reduced, tuples, colour):
+    """Tuple choice with admissible classes found by scanning every class."""
+    states = reduced.edge_colours
+    best = None
+    for tup in tuples:
+        page_idx = [
+            j
+            for j in range(reduced.m)
+            if j not in reduced.deleted
+            and j not in tup
+            and all(states[a][j] is not None for a in tup)
+        ]
+        value = sum(
+            math.prod(reduced.subset_density(colour, a, j) for a in tup) for j in page_idx
+        )
+        if best is None or value > best[0] + 1e-12:
+            best = (value, tup, page_idx)
+    return None if best is None else best[1:]
+
+
+class TestReducedRows:
+    @given(partial_reduced(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_best_tuple_matches_scan(self, reduced, data):
+        m = reduced.m
+        k = data.draw(st.integers(1, 3))
+        colour = data.draw(st.sampled_from((RED, BLUE)))
+        pools = [
+            sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=3))) for _ in range(k)
+        ]
+        for tuples in (
+            lambda: itertools.product(*pools),
+            lambda: itertools.combinations_with_replacement(pools[0], k),
+        ):
+            got = regularity._best_tuple(reduced, tuples(), colour)
+            assert got == reference_best_tuple(reduced, tuples(), colour)
+
+    @given(partial_reduced())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_edge_colours(self, reduced):
+        m = reduced.m
+        assert len(reduced.rows) == 2
+        for c, rows in enumerate(reduced.rows):
+            assert len(rows) == m
+            for i in range(m):
+                for j in range(m):
+                    want = i != j and j not in reduced.deleted and reduced.edge_colours[i][j] == c
+                    assert bool(rows[i] >> j & 1) == want
+            assert all(row >> m == 0 for row in rows)
+
+    def test_rows_of_a_built_graph(self):
+        # two blocks on the first 64 vertices, random edges to the rest: the
+        # deleted class keeps a coloured edge, which its row must drop
+        rng = random.Random(1)
+        col = Colouring.from_edge_colours(
+            96, 2, lambda u, v: rng.randrange(2) if v >= 64 else int((u < 32) != (v < 32))
+        )
+        part = make_partition(col, 6, seed=1, steps=0, eta=0.25)
+        red = build_reduced(col, part, eta=0.25, delta=0.3, seed=1)
+        surv = red.survivors()
+        assert red.deleted == {4}
+        assert any(c is not None for c in red.edge_colours[4])
+        for i in range(6):
+            for c in (RED, BLUE):
+                want = [j for j in surv if j != i and red.edge_colours[i][j] == c]
+                assert [j for j in range(8) if red.rows[c][i] >> j & 1] == want
