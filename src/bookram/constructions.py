@@ -26,6 +26,8 @@ from .colouring import (
 
 #: The colouring generators refuse to build more vertices than this.
 MAX_GENERATED_VERTICES = 1 << 14
+# rows of the random colouring mirrored at a time
+MIRROR_ROWS = 256
 
 
 def pentagon_colouring() -> Colouring:
@@ -44,12 +46,20 @@ def random_colouring(size: int, seed: int) -> Colouring:
     if not 1 <= size <= MAX_GENERATED_VERTICES:
         raise ValueError(f"vertex count must lie in 1..{MAX_GENERATED_VERTICES}, got {size}")
     rng = np.random.default_rng(seed)
-    # the upper triangle of one draw is the colour matrix; 2 on the diagonal
-    # is neither colour
-    matrix = np.triu(rng.integers(0, 2, size=(size, size), dtype=np.uint8), 1)
-    matrix |= matrix.T
-    np.fill_diagonal(matrix, 2)
-    return Colouring(size, 2, tuple(_pack_rows(matrix == c) for c in range(2)))
+    # the upper triangle of one draw is colour 1; it is mirrored in place a
+    # strip of rows at a time (numpy buffers only the strip's overlap with its
+    # transpose), and colour 0 is its complement, so the draw is the one
+    # N-by-N array
+    matrix = rng.integers(0, 2, size=(size, size), dtype=np.uint8)
+    for v in range(size):
+        matrix[v, : v + 1] = 0
+    for start in range(0, size, MIRROR_ROWS):
+        stop = min(start + MIRROR_ROWS, size)
+        matrix[start:stop, :stop] |= matrix[:stop, start:stop].T
+    blue = _pack_rows(matrix)
+    matrix ^= 1
+    np.fill_diagonal(matrix, 0)
+    return Colouring(size, 2, (_pack_rows(matrix), blue))
 
 
 def multicolour_blowup(base: Colouring, part_size: int) -> Colouring:

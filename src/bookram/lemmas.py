@@ -24,6 +24,8 @@ import numpy as np
 GRID_POINTS = 33  # per-axis resolution of the coarse minimisation grid
 # most coordinates a certification lattice (3^k points of k, 2^l of l) may hold
 LATTICE_ENTRY_CAP = 1 << 22
+# rows drawn and scored at a time, so memory stays flat in the sample count
+CHUNK_ROWS = 8192
 
 
 def gen_binomial(c: float, k: int) -> float:
@@ -126,12 +128,34 @@ def _check_lattice(values: int, dim: int) -> None:
         )
 
 
-def _scan_margins(points: np.ndarray, lhs: np.ndarray, rhs, tol: float):
-    margins = lhs - rhs
-    scaled = tol * (1.0 + np.abs(lhs))
-    bad = margins < -scaled
-    worst = int(np.argmin(margins))
-    return int(bad.sum()), float(margins[worst]), tuple(float(v) for v in points[worst])
+def _scan_margins(blocks, score, tol: float):
+    """Row count, violations, worst margin and its point over the point
+    blocks of ``blocks``, each scored by ``score(points) -> (lhs, rhs)`` and
+    dropped before the next is made.  The worst is the first minimum over
+    all rows, a NaN margin first of all, as one ``argmin`` would give."""
+    rows = violations = 0
+    minima, points_at = [], []
+    for points in blocks:
+        lhs, rhs = score(points)
+        margins = lhs - rhs
+        scaled = tol * (1.0 + np.abs(lhs))
+        violations += int((margins < -scaled).sum())
+        worst = int(np.argmin(margins))
+        minima.append(margins[worst])
+        points_at.append(tuple(float(v) for v in points[worst]))
+        rows += points.shape[0]
+    worst = int(np.argmin(minima))
+    return rows, violations, float(minima[worst]), points_at[worst]
+
+
+def _blocks(draw, samples: int, fixed: np.ndarray):
+    """``draw(rows)`` in CHUNK_ROWS pieces up to ``samples`` rows (consecutive
+    draws continue one stream, so they equal one big draw), then ``fixed``
+    in pieces of the same size."""
+    for start in range(0, samples, CHUNK_ROWS):
+        yield draw(min(CHUNK_ROWS, samples - start))
+    for start in range(0, fixed.shape[0], CHUNK_ROWS):
+        yield fixed[start : start + CHUNK_ROWS]
 
 
 def dichotomy_certify(
@@ -156,16 +180,17 @@ def dichotomy_certify(
         raise ValueError("tolerance must be a finite number > 0")
     _check_lattice(3, k)
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, t, size=(samples, k))
     lattice = np.array(list(itertools.product((0.0, t / 2, t), repeat=k)))
-    pts = np.vstack([pts, lattice])
-    lhs = ((t - pts) ** k).mean(axis=1) + pts.prod(axis=1)
     bound = 2.0 * (t / 2.0) ** k + bound_offset
-    violations, worst_margin, worst_witness = _scan_margins(pts, lhs, bound, tol)
+    rows, violations, worst_margin, worst_witness = _scan_margins(
+        _blocks(lambda n: rng.uniform(0.0, t, size=(n, k)), samples, lattice),
+        lambda pts: (((t - pts) ** k).mean(axis=1) + pts.prod(axis=1), bound),
+        tol,
+    )
     min_value, argmin = _dichotomy_minimise(k, t)
     return LemmaReport(
         lemma="dichotomy",
-        samples=pts.shape[0],
+        samples=rows,
         violations=violations,
         worst_margin=worst_margin,
         worst_witness=worst_witness,
@@ -252,22 +277,24 @@ def degprod_certify(l: int, k: int, samples: int, seed: int, tol: float) -> Lemm
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be a finite number > 0")
     _check_lattice(2, l)
-    # one block: the uniform samples (random() draws what uniform(0, 1)
-    # does), the 2^l corners in ``itertools.product`` order, then the
-    # extremal family, for each count of leading ones every fraction i/8
+    # the uniform samples (random() draws what uniform(0, 1) does), then the
+    # 2^l corners in ``itertools.product`` order, then the extremal family,
+    # for each count of leading ones every fraction i/8
     corners = 1 << l
-    pts = np.empty((samples + corners + 7 * l, l), dtype=np.float64)
-    np.random.default_rng(seed).random(out=pts[:samples])
-    pts[samples : samples + corners] = (np.arange(corners)[:, None] >> np.arange(l)[::-1]) & 1
-    extremal = pts[samples + corners :].reshape(l, 7, l)
+    fixed = np.empty((corners + 7 * l, l), dtype=np.float64)
+    fixed[:corners] = (np.arange(corners)[:, None] >> np.arange(l)[::-1]) & 1
+    extremal = fixed[corners:].reshape(l, 7, l)
     extremal[:] = np.tri(l, l, -1)[:, None, :]
     extremal[np.arange(l), :, np.arange(l)] = np.arange(1, 8) / 8.0
-    lhs = _elementary_symmetric_arr(pts, k)
-    rhs = degprod_floor(pts.sum(axis=1), k)
-    violations, worst_margin, worst_witness = _scan_margins(pts, lhs, rhs, tol)
+    rng = np.random.default_rng(seed)
+    rows, violations, worst_margin, worst_witness = _scan_margins(
+        _blocks(lambda n: rng.random((n, l)), samples, fixed),
+        lambda pts: (_elementary_symmetric_arr(pts, k), degprod_floor(pts.sum(axis=1), k)),
+        tol,
+    )
     return LemmaReport(
         lemma="degprod",
-        samples=pts.shape[0],
+        samples=rows,
         violations=violations,
         worst_margin=worst_margin,
         worst_witness=worst_witness,

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bookram import books
 from bookram.books import (
     _max_book_bitset,
     _max_book_dense,
@@ -126,6 +128,99 @@ class TestPaleyOracle:
         col = paley_colouring(197)
         for k in (2, 3):
             assert _max_book_dense(col, k) == _max_book_bitset(col, k)
+
+
+def _in_threads(monkeypatch):
+    """Make the dense path run its colours on two threads whatever the
+    machine and colouring size; returns the (thread, BLAS share) of every
+    worker's call to the BLAS limit, which still reaches OpenBLAS when numpy's
+    has it."""
+    real = books._blas_thread_limit()
+    calls = []
+
+    def limit(share):
+        calls.append((threading.get_ident(), share))
+        return 0 if real is None else real(share)
+
+    monkeypatch.setattr(books, "_blas_thread_limit", lambda: limit)
+    monkeypatch.setattr(books, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(books, "THREADED_MIN_VERTICES", 1)
+    return calls
+
+
+THREADED_INPUTS = {
+    "random-200": lambda: random_colouring(200, 6),
+    # self-complementary: both colours tie, so colour 0 must win
+    "paley-13": lambda: paley_colouring(13),
+    "two-blocks-200": lambda: Colouring.from_edge_colours(
+        200, 2, lambda u, v: 0 if (u < 100) == (v < 100) else 1
+    ),
+    # q = 3 colours on two workers
+    "pentagon-blowup-200": lambda: multicolour_blowup(pentagon_colouring(), 40),
+    # colour 1 has no edge, so no spine
+    "empty-colour-60": lambda: Colouring.from_edge_colours(60, 3, lambda u, v: 0 if (u + v) % 3 else 2),
+}
+
+
+class TestColourThreads:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("name", sorted(THREADED_INPUTS))
+    def test_threads_equal_one_worker_and_oracles(self, name, k, monkeypatch):
+        col = THREADED_INPUTS[name]()
+        with monkeypatch.context() as m:
+            m.setattr(books, "_blas_thread_limit", lambda: None)
+            assert books._colour_workers(col) == 1
+            one_worker = (_max_book_dense(col, k), _profile_dense(col, k))
+        calls = _in_threads(monkeypatch)
+        assert books._colour_workers(col) == 2
+        threaded = (_max_book_dense(col, k), _profile_dense(col, k))
+        assert calls and all(ident != threading.get_ident() and share == 1 for ident, share in calls)
+        assert threaded == one_worker
+        assert threaded[0] == _max_book_bitset(col, k)
+        assert threaded[1] == _profile_enumerate(col, k)
+
+    def test_paley_tie_goes_to_colour_zero(self, monkeypatch):
+        _in_threads(monkeypatch)
+        col = paley_colouring(13)
+        for k in (2, 3):
+            pages, colour, _ = _max_book_dense(col, k)
+            assert colour == 0 and pages == (2 if k == 2 else 0)
+
+    def test_task_exception_reaches_caller(self, monkeypatch):
+        _in_threads(monkeypatch)
+
+        def task(c):
+            if c == 1:
+                raise RuntimeError("colour 1 failed")
+            return c
+
+        with pytest.raises(RuntimeError, match="colour 1 failed"):
+            books._map_colours(THREADED_INPUTS["pentagon-blowup-200"](), task)
+
+    @pytest.mark.parametrize("cause", ["no-limit", "one-cpu", "small"])
+    def test_one_worker_starts_no_thread(self, cause, monkeypatch):
+        _in_threads(monkeypatch)
+        if cause == "no-limit":
+            monkeypatch.setattr(books, "_blas_thread_limit", lambda: None)
+        elif cause == "one-cpu":
+            monkeypatch.setattr(books, "_usable_cpus", lambda: 1)
+        else:
+            monkeypatch.setattr(books, "THREADED_MIN_VERTICES", 201)
+        col = THREADED_INPUTS["pentagon-blowup-200"]()
+        before = threading.active_count()
+        seen = books._map_colours(col, lambda c: (c, threading.get_ident(), threading.active_count()))
+        assert seen == [(c, threading.get_ident(), before) for c in range(col.q)]
+
+    def test_blas_limit_is_per_thread(self):
+        limit = books._blas_thread_limit()
+        assert limit is None or callable(limit)
+        if limit is not None:
+            # it returns the calling thread's previous setting
+            shares = []
+            worker = threading.Thread(target=lambda: shares.extend((limit(1), limit(1))))
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive() and shares[1] == 1
 
 
 class TestHasMonoBook:

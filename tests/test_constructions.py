@@ -1,6 +1,7 @@
 """Generators for lower-bound colourings and their exact verifiers."""
 
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -13,6 +14,7 @@ from bookram.colouring import (
     HYPER_ENTRY_CAP,
     Colouring,
     HyperColouring,
+    _pack_rows,
     common_pages,
     emit_certificate,
     emit_colouring,
@@ -64,6 +66,30 @@ class TestRandomColouring:
         for u, v in itertools.combinations(range(n), 2):
             assert col.colour_of(u, v) == draw[u, v]
         col.validate()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 255, 256, 257, 333, 2048])
+    def test_equals_the_triu_construction(self, n):
+        # the upper triangle of the draw symmetrised out of place, with 2 on
+        # the diagonal, as the colouring was first built
+        for seed in (1, 2):
+            draw = np.random.default_rng(seed).integers(0, 2, size=(n, n), dtype=np.uint8)
+            matrix = np.triu(draw, 1)
+            matrix |= matrix.T
+            np.fill_diagonal(matrix, 2)
+            want = Colouring(n, 2, tuple(_pack_rows(matrix == c) for c in range(2)))
+            assert random_colouring(n, seed) == want
+
+    def test_peak_memory_is_one_matrix(self):
+        # the draw is n^2 bytes and the bitmask rows add under half of that;
+        # the triu construction held three n^2 arrays at once
+        n = 1024
+        tracemalloc.start()
+        try:
+            random_colouring(n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n
 
     def test_edge_fraction_n2048(self):
         # binomial model: red fraction within 4 sigma, sigma = 1/(2 sqrt(E))

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -200,6 +201,51 @@ class TestDichotomyCertify:
         a = dichotomy_certify(3, 1.0, 5000, seed=9, tol=1e-9)
         b = dichotomy_certify(3, 1.0, 5000, seed=9, tol=1e-9)
         assert a == b
+
+
+class TestChunkedSampling:
+    @pytest.mark.parametrize("rows", [1, 7, 1000])
+    def test_chunk_size_leaves_reports_unchanged(self, rows, monkeypatch):
+        def reports():
+            return (
+                dichotomy_certify(3, 2.0, 3001, seed=4, tol=1e-9, bound_offset=0.2).to_tsv(),
+                dichotomy_certify(2, 1.0, 2500, seed=5, tol=1e-9).to_tsv(),
+                degprod_certify(8, 3, 3001, seed=4, tol=1e-9).to_tsv(),
+            )
+
+        whole = reports()
+        monkeypatch.setattr(lemmas, "CHUNK_ROWS", rows)
+        assert reports() == whole
+
+    @pytest.mark.parametrize("case", ["ties", "nan", "all-nan", "inf"])
+    def test_worst_is_first_argmin_over_all_rows(self, case):
+        rng = np.random.default_rng(len(case))
+        lhs = rng.integers(0, 3, 50).astype(np.float64)  # many tied minima
+        if case == "nan":
+            lhs[[17, 33]] = np.nan
+        elif case == "all-nan":
+            lhs[:] = np.nan
+        elif case == "inf":
+            lhs[[8, 40]] = -np.inf
+        points = np.arange(50, dtype=np.float64)[:, None]
+        blocks = (points[i : i + 7] for i in range(0, 50, 7))
+        rows, _, margin, witness = lemmas._scan_margins(
+            blocks, lambda pts: (lhs[pts[:, 0].astype(int)], 0.0), 1e-9
+        )
+        at = int(np.argmin(lhs))
+        assert rows == 50 and witness == (float(at),)
+        assert margin == lhs[at] or (math.isnan(margin) and math.isnan(lhs[at]))
+
+    def test_memory_flat_in_samples(self):
+        # a single block of a million samples would be 16 and 32 MiB
+        tracemalloc.start()
+        try:
+            assert dichotomy_certify(2, 1.0, 1_000_000, seed=1, tol=1e-9).samples == 1_000_009
+            assert degprod_certify(4, 2, 1_000_000, seed=1, tol=1e-9).samples == 1_000_044
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 class TestLatticeCap:
