@@ -19,7 +19,6 @@ import numpy as np
 from .colouring import (
     BookCertificate,
     Colouring,
-    _unpack_rows,
     bits,
     clique_pages,
     common_pages,
@@ -66,11 +65,16 @@ def max_book(col: Colouring, k: int) -> BookCertificate | None:
         found = _max_book_dense(col, k)
     else:
         found = _max_book_bitset(col, k)
+    return _certificate(col, found)
+
+
+def _certificate(col: Colouring, found) -> BookCertificate | None:
+    """The certificate of a search's best (pages, colour, spine), its pages
+    read back from the colouring, or None when the search found no spine."""
     if found is None:
         return None
     _, colour, spine = found
-    mask = common_pages(col, colour, spine)
-    return BookCertificate(colour, spine, tuple(bits(mask)))
+    return BookCertificate(colour, spine, tuple(bits(common_pages(col, colour, spine))))
 
 
 def _max_book_bitset(col: Colouring, k: int):
@@ -116,7 +120,7 @@ def _first_best(found):
 
 def _max_book_colour(col: Colouring, k: int, c: int):
     """Best (pages, c, spine) of colour c alone, or None when it has no spine."""
-    a = _unpack_rows(col.adj[c], col.n)
+    a = col.dense(c)
     degree = a.sum(1, dtype=np.int64)
     best = None
 
@@ -272,11 +276,7 @@ def local_profile(col: Colouring, k: int) -> BookProfile:
         histograms, best = _profile_dense(col, k)
     else:
         histograms, best = _profile_enumerate(col, k)
-    cert = None
-    if best is not None:
-        mask = common_pages(col, best[1], best[2])
-        cert = BookCertificate(best[1], best[2], tuple(bits(mask)))
-    return BookProfile(k, tuple(histograms), cert)
+    return BookProfile(k, tuple(histograms), _certificate(col, best))
 
 
 def _profile_enumerate(col: Colouring, k: int):
@@ -309,7 +309,7 @@ def _profile_colour(col: Colouring, k: int, c: int):
     lexicographically smallest spine, as (pages, c, spine)."""
     counts = np.zeros(col.n, dtype=np.int64)
     best = None
-    for prefix, labels, pages, edge in _spine_blocks(_unpack_rows(col.adj[c], col.n), k):
+    for prefix, labels, pages, edge in _spine_blocks(col.dense(c), k):
         upper = np.triu(edge, 1).astype(bool)
         counts += np.bincount(pages[upper].astype(np.int64), minlength=col.n)
         m, (i, j) = _best_edge(pages, edge)

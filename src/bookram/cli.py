@@ -154,6 +154,10 @@ def main(argv=None, out=None) -> int:
 def _dispatch(args, out) -> int:
     if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    # the spine size is checked before the input is read, so a bad --k costs
+    # no parse and no pipeline stage
+    if args.command in ("book", "profile", "pipeline") and args.k < 1:
+        raise ValueError(f"--k must be at least 1, got {args.k}")
 
     if args.command == "book":
         col = parse_colouring(_read(args.input))

@@ -20,6 +20,9 @@ BLUE = 1
 
 #: Dense hypergraph colourings refuse to materialise more than this many edges.
 HYPER_ENTRY_CAP = 1 << 22
+#: Rows of an N-by-N matrix handled at a time where a whole-matrix temporary
+#: would cost N^2 bytes more: packing into bitmask rows and mirroring a draw.
+STRIP_ROWS = 256
 
 
 class FormatError(ValueError):
@@ -72,6 +75,33 @@ class Colouring:
                 rows[c][u] |= 1 << v
                 rows[c][v] |= 1 << u
         return Colouring(n, q, tuple(tuple(r) for r in rows))
+
+    @staticmethod
+    def from_matrix(matrix: np.ndarray, q: int) -> "Colouring":
+        """Build from a symmetric n-by-n matrix of colour indices: edge (u, v)
+        has colour ``matrix[u, v]``, and the diagonal holds no colour below q
+        (``matrix()`` puts q there).  No entry is checked; ``validate`` does
+        that.  Each colour's 0/1 comparison is made a row strip at a time."""
+        n = len(matrix)
+        rows = [[] for _ in range(q)]
+        for start in range(0, n, STRIP_ROWS):
+            strip = matrix[start : start + STRIP_ROWS]
+            for c in range(q):
+                rows[c] += _pack_rows(strip == c)
+        return Colouring(n, q, tuple(map(tuple, rows)))
+
+    def matrix(self) -> np.ndarray:
+        """Inverse of ``from_matrix``: the colour index of every edge, with q
+        on the diagonal.  Assumes every edge carries exactly one colour."""
+        out = np.zeros((self.n, self.n), dtype=np.min_scalar_type(self.q))
+        for c in range(1, self.q):
+            out += c * self.dense(c).astype(out.dtype, copy=False)
+        np.fill_diagonal(out, self.q)
+        return out
+
+    def dense(self, c: int) -> np.ndarray:
+        """Colour c's adjacency as an n-by-n uint8 0/1 matrix."""
+        return _unpack_rows(self.adj[c], self.n)
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -192,13 +222,12 @@ def parse_colouring(text: str) -> Colouring:
     if len(rows) != n - 1:
         raise FormatError(f"expected {n - 1} data rows, found {len(rows)}")
     # the row-major upper triangle is exactly the KNC digit order (and the
-    # transpose's upper triangle the lower one); the diagonal keeps the value
-    # q, which is no colour
+    # transpose's upper triangle the lower one)
     matrix = np.full((n, n), q, dtype=np.uint8)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     matrix[upper] = digits
     matrix.T[upper] = digits
-    return Colouring(n, q, tuple(_pack_rows(matrix == c) for c in range(q)))
+    return Colouring.from_matrix(matrix, q)
 
 
 def emit_colouring(col: Colouring) -> str:
@@ -209,9 +238,7 @@ def emit_colouring(col: Colouring) -> str:
     """
     if col.q > 10:
         raise ValueError(f"KNC holds at most 10 colours, not {col.q}")
-    text = np.full((col.n, col.n), ord("0"), dtype=np.uint8)
-    for c in range(1, col.q):
-        text += c * _unpack_rows(col.adj[c], col.n)
+    text = col.matrix() + ord("0")
     out = [f"KNC 1 {col.n} {col.q}".encode()]
     out += [text[i, i + 1 :].tobytes() for i in range(col.n - 1)]
     return (b"\n".join(out) + b"\n").decode("ascii")

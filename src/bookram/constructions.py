@@ -17,17 +17,16 @@ import numpy as np
 from .books import max_book
 from .colouring import (
     HYPER_ENTRY_CAP,
+    STRIP_ROWS,
     BookCertificate,
     Colouring,
     HyperColouring,
-    _pack_rows,
-    _unpack_rows,
 )
 
 #: The colouring generators refuse to build more vertices than this.
 MAX_GENERATED_VERTICES = 1 << 14
-# rows of the random colouring mirrored at a time
-MIRROR_ROWS = 256
+# random bases search_hypergraph_base draws before it gives up
+_BASE_TRIES = 100_000
 
 
 def pentagon_colouring() -> Colouring:
@@ -46,20 +45,17 @@ def random_colouring(size: int, seed: int) -> Colouring:
     if not 1 <= size <= MAX_GENERATED_VERTICES:
         raise ValueError(f"vertex count must lie in 1..{MAX_GENERATED_VERTICES}, got {size}")
     rng = np.random.default_rng(seed)
-    # the upper triangle of one draw is colour 1; it is mirrored in place a
-    # strip of rows at a time (numpy buffers only the strip's overlap with its
-    # transpose), and colour 0 is its complement, so the draw is the one
-    # N-by-N array
+    # the upper triangle of one draw holds the colours; it is mirrored in
+    # place a strip of rows at a time (numpy buffers only the strip's overlap
+    # with its transpose), so the draw is the one N-by-N array
     matrix = rng.integers(0, 2, size=(size, size), dtype=np.uint8)
     for v in range(size):
         matrix[v, : v + 1] = 0
-    for start in range(0, size, MIRROR_ROWS):
-        stop = min(start + MIRROR_ROWS, size)
+    for start in range(0, size, STRIP_ROWS):
+        stop = min(start + STRIP_ROWS, size)
         matrix[start:stop, :stop] |= matrix[:stop, start:stop].T
-    blue = _pack_rows(matrix)
-    matrix ^= 1
-    np.fill_diagonal(matrix, 0)
-    return Colouring(size, 2, (_pack_rows(matrix), blue))
+    np.fill_diagonal(matrix, 2)
+    return Colouring.from_matrix(matrix, 2)
 
 
 def multicolour_blowup(base: Colouring, part_size: int) -> Colouring:
@@ -76,12 +72,10 @@ def multicolour_blowup(base: Colouring, part_size: int) -> Colouring:
         raise ValueError(f"blow-up has {total} vertices, above the cap of {MAX_GENERATED_VERTICES}")
     # the template's colours with the fresh one on its diagonal, blown up;
     # the diagonal of the result gets q_out, which no colour matches
-    template = np.full((base.n, base.n), base.q, dtype=np.min_scalar_type(q_out))
-    for c in range(base.q):
-        template[_unpack_rows(base.adj[c], base.n) == 1] = c
+    template = base.matrix().astype(np.min_scalar_type(q_out), copy=False)
     matrix = template.repeat(part_size, 0).repeat(part_size, 1)
     np.fill_diagonal(matrix, q_out)
-    return Colouring(total, q_out, tuple(_pack_rows(matrix == c) for c in range(q_out)))
+    return Colouring.from_matrix(matrix, q_out)
 
 
 @dataclass(frozen=True)
@@ -171,11 +165,10 @@ def hyper_max_book(h: HyperColouring, k: int) -> BookCertificate | None:
     return BookCertificate(best[1], best[2], best[3])
 
 
-def search_hypergraph_base(
-    size: int, s: int, forbid: int, seed: int, max_tries: int = 100_000
-) -> HyperColouring:
-    """Random search for a 2-colouring of the complete s-uniform hypergraph
-    on ``size`` vertices with no monochromatic K_forbid^(s)."""
+def search_hypergraph_base(size: int, s: int, forbid: int, seed: int) -> HyperColouring:
+    """Random search, _BASE_TRIES draws at most, for a 2-colouring of the
+    complete s-uniform hypergraph on ``size`` vertices with no monochromatic
+    K_forbid^(s)."""
     if forbid < s:
         raise ValueError("forbidden clique must have at least s vertices")
     rng = np.random.default_rng(seed)
@@ -185,7 +178,7 @@ def search_hypergraph_base(
         [index[e] for e in itertools.combinations(block, s)]
         for block in itertools.combinations(range(size), forbid)
     ]
-    for _ in range(max_tries):
+    for _ in range(_BASE_TRIES):
         cols = rng.integers(0, 2, size=len(edges))
         ok = True
         for ids in cliques:
@@ -196,5 +189,5 @@ def search_hypergraph_base(
         if ok:
             return HyperColouring(size, s, tuple(int(c) for c in cols))
     raise RuntimeError(
-        f"no K_{forbid}^({s})-free colouring found on {size} vertices in {max_tries} tries"
+        f"no K_{forbid}^({s})-free colouring found on {size} vertices in {_BASE_TRIES} tries"
     )

@@ -27,7 +27,6 @@ from .colouring import (
     BookCertificate,
     Colouring,
     _pack_rows,
-    _unpack_rows,
     bits,
     clique_pages,
     mask_of,
@@ -44,8 +43,14 @@ _FLOYD_LIMIT = 10_000
 _CELL_CAP = 1 << 18
 # trials one decoding call takes from each generator at most, so a gate that
 # fails early skips most of a long run of trials (eps_regular_check's default
-# is 2,000) while the pipeline's 120-trial gates still take one call
+# is 2,000) while the pipeline's _GATE_TRIALS-trial gates still take one call
 _PROBE_CHUNK = 512
+# trials of each sampled regularity gate of the reduced graph
+_GATE_TRIALS = 120
+# random candidate subsets of a class, scored besides the class itself
+_SUBSET_TRIALS = 12
+# probe pairs of a candidate subset's self-regularity score
+_SELF_PROBES = 24
 # numpy draws an integer on [0, r] from a 32-bit output x as x(r + 1) >> 32
 # and draws again when x(r + 1) mod 2**32 falls below entry r (Lemire's
 # method).  Decoded draws have r <= _FLOYD_LIMIT, so x(r + 1) < 2**46 and all
@@ -69,12 +74,6 @@ def pair_density(col: Colouring, colour: int, a, b) -> float:
     adjc = col.adj[colour]
     hits = sum((adjc[u] & mb).bit_count() for u in a)
     return hits / (len(a) * len(b))
-
-
-def _block(col: Colouring, colour: int, a, b) -> np.ndarray:
-    """uint8 0/1 matrix of the colour's edges, rows a and columns b."""
-    adjc = col.adj[colour]
-    return _unpack_rows([adjc[u] for u in a], col.n).take(b, 1)
 
 
 def _probe_floor(eps: float, size: int) -> int:
@@ -391,7 +390,8 @@ def eps_regular_check(
         return RegularityVerdict(True, mode, checked, base)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
-    (found,) = _sampled_gates([_block(col, colour, a, b)], eps, trials, [seed])
+    block = col.dense(colour).take(a, 0).take(b, 1)
+    (found,) = _sampled_gates([block], eps, trials, [seed])
     if found is None:
         return RegularityVerdict(True, mode, trials, base)
     t, rows, cols, dens = found
@@ -400,39 +400,28 @@ def eps_regular_check(
     return RegularityVerdict(False, mode, t, base, (usub, vsub, dens))
 
 
-def pick_regular_subset(col: Colouring, verts, eta: float, trials: int, seed: int = 0):
-    """Among seeded random half-size subsets of a class (and the class
-    itself), return the one with the best sampled self-regularity score.
-
-    Candidate size is max(2, ceil(|class|/2)), so a 2-vertex class admits
-    only itself.
-    """
-    verts = tuple(sorted(verts))
-    if len(verts) < 2:
-        raise ValueError("class must have at least 2 vertices")
-    return _regular_subsets(col, [verts], eta, trials, [seed])[0]
-
-
 def _regular_subsets(col: Colouring, classes, eta: float, trials: int, seeds) -> list:
-    """pick_regular_subset of each class (a sorted tuple of vertices; one
-    below three vertices is its own pick) with its seed, the candidates of
-    every class scored in one batch."""
+    """For each class (a sorted tuple of vertices) and its seed (a list of
+    ints), the one among ``trials`` seeded random subsets of size
+    max(2, ceil(|class|/2)) and the class itself with the best sampled
+    self-regularity score; a class below three vertices is its own pick.
+    The candidates of every class are scored in one batch."""
+    red = col.dense(RED)
     plans, blocks, rngs = [], [], []
     for verts, seed in zip(classes, seeds):
         size = max(2, (len(verts) + 1) // 2)
         if size >= len(verts):
             plans.append((verts, None))
             continue
-        base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-        rng = np.random.default_rng(base)
+        rng = np.random.default_rng(seed)
         # candidates as sorted positions into verts (so their vertices are
         # sorted too), each scored with its own generator; the class itself
         # comes last
         cands = [np.sort(rng.choice(len(verts), size, replace=False)) for _ in range(trials)]
         cands.append(np.arange(len(verts)))
-        red = _block(col, RED, verts, verts)
-        blocks += [red.take(pos, 0).take(pos, 1) for pos in cands]
-        rngs += [np.random.default_rng(base + [101, ci]) for ci in range(trials + 1)]
+        inside = red.take(verts, 0).take(verts, 1)
+        blocks += [inside.take(pos, 0).take(pos, 1) for pos in cands]
+        rngs += [np.random.default_rng([*seed, 101, ci]) for ci in range(trials + 1)]
         plans.append((verts, cands))
     scores = iter(_self_regularity_scores(blocks, eta, rngs))
     picks = []
@@ -448,10 +437,10 @@ def _regular_subsets(col: Colouring, classes, eta: float, trials: int, seeds) ->
     return picks
 
 
-def _self_regularity_scores(blocks, eta, rngs, probes: int = 24) -> list[float]:
+def _self_regularity_scores(blocks, eta, rngs) -> list[float]:
     """For each square red 0/1 block, the max sampled deviation
-    |d(U', V') - d(W, W)| over random probe pairs drawn from its own
-    generator in ``rngs``.  Densities are loopless: they count only ordered
+    |d(U', V') - d(W, W)| over _SELF_PROBES random probe pairs drawn from its
+    own generator in ``rngs``.  Densities are loopless: they count only ordered
     pairs of distinct vertices, so a complete graph scores exactly 1 at any
     size.  Lower is better; probes with no such pair are skipped."""
     n = [len(b) for b in blocks]
@@ -459,7 +448,7 @@ def _self_regularity_scores(blocks, eta, rngs, probes: int = 24) -> list[float]:
     # below two vertices no probe has a pair, so the base is never read
     base = np.array([int(b.sum()) / max(size * size - size, 1) for b, size in zip(blocks, n)])
     worst = np.zeros(len(blocks))
-    for lo, _, su, sv, rows_u, rows_v in _probe_draws(rngs, probes, q, n, q, n):
+    for lo, _, su, sv, rows_u, rows_v in _probe_draws(rngs, _SELF_PROBES, q, n, q, n):
         part = slice(lo, lo + len(su))
         hits = _stacked_hits(blocks[part], rows_u, rows_v)
         pairs = su * sv - (rows_u * rows_v).sum(2)
@@ -474,7 +463,6 @@ class EquitablePartition:
 
     classes: tuple[tuple[int, ...], ...]
     subsets: tuple[tuple[int, ...], ...]
-    eta: float
 
     @property
     def m(self) -> int:
@@ -518,7 +506,7 @@ def balanced_swap_search(col: Colouring, m: int, seed: int, steps: int):
             row[rng.choice(len(cl), psize, replace=False)] = 1
         patterns.append(pats)
         psizes.append(psize)
-    red = _unpack_rows(col.adj[RED], col.n)
+    red = col.dense(RED)
 
     def pair_score(i: int, j: int) -> float:
         block = red.take(classes[i], 0).take(classes[j], 1)
@@ -556,27 +544,20 @@ def balanced_swap_search(col: Colouring, m: int, seed: int, steps: int):
 
 
 def make_partition(
-    col: Colouring,
-    m: int,
-    seed: int,
-    steps: int,
-    eta: float = 0.05,
-    subset_trials: int = 12,
+    col: Colouring, m: int, seed: int, steps: int, eta: float = 0.05
 ) -> EquitablePartition:
     """Equitable partition by balanced_swap_search, with the per-class
-    subsets chosen by pick_regular_subset (a singleton class is its own
-    subset)."""
+    subsets chosen by _regular_subsets from _SUBSET_TRIALS candidates (a
+    singleton class is its own subset)."""
     classes, _, _ = balanced_swap_search(col, m, seed, steps)
     subsets = _regular_subsets(
         col,
         [tuple(cl) for cl in classes],
         eta,
-        subset_trials,
+        _SUBSET_TRIALS,
         [_derive_seed(seed, idx) for idx in range(len(classes))],
     )
-    return EquitablePartition(
-        tuple(tuple(cl) for cl in classes), tuple(subsets), eta
-    )
+    return EquitablePartition(tuple(tuple(cl) for cl in classes), tuple(subsets))
 
 
 def _derive_seed(seed: int, *parts: int):
@@ -631,17 +612,17 @@ def build_reduced(
     partition: EquitablePartition,
     eta: float,
     delta: float,
-    trials: int = 120,
     seed: int = 0,
 ) -> ReducedGraph:
     """Colour the reduced graph of a partition.
 
-    An edge (i, j) stays uncoloured unless the sampled regularity checks for
-    (V_i, V_j), (W_i, V_j), (W_j, V_i) and (W_i, W_j) all pass and the stored
-    red densities agree within eta.  Coloured edges are red when the red
-    density is at least 1 - delta (ties red) and blue otherwise.  Vertices
-    with more than sqrt(eta) * m uncoloured incident edges are deleted
-    greedily, worst degree first, lowest index on ties.
+    An edge (i, j) stays uncoloured unless the sampled regularity checks, of
+    _GATE_TRIALS trials each, for (V_i, V_j), (W_i, V_j), (W_j, V_i) and
+    (W_i, W_j) all pass and the stored red densities agree within eta.
+    Coloured edges are red when the red density is at least 1 - delta (ties
+    red) and blue otherwise.  Vertices with more than sqrt(eta) * m
+    uncoloured incident edges are deleted greedily, worst degree first,
+    lowest index on ties.
     """
     if col.q != 2:
         raise ValueError("the reduced-graph pipeline is two-colour only")
@@ -654,7 +635,7 @@ def build_reduced(
     for i in range(m):
         in_class[i, list(classes[i])] = 1
         in_subset[i, list(subsets[i])] = 1
-    red = _unpack_rows(col.adj[RED], col.n)
+    red = col.dense(RED)
     to_class = red @ in_class.T
     to_subset = red @ in_subset.T
 
@@ -691,7 +672,7 @@ def build_reduced(
             )[idx]
             gates.append(red.take(x, 0).take(y, 1))
         seeds = [_derive_seed(seed, i, j, idx) for i, j in pairs]
-        found = _sampled_gates(gates, eta, trials, seeds)
+        found = _sampled_gates(gates, eta, _GATE_TRIALS, seeds)
         alive = alive[[bad is None for bad in found]]
     passed = np.zeros((m, m), dtype=bool)
     passed[alive[:, 0], alive[:, 1]] = True
@@ -784,13 +765,6 @@ def transversal_best_spine(
     if pages * count < total:
         raise RuntimeError("maximum fell below the average; enumeration is broken")
     return BookCertificate(colour, spine, tuple(bits(mask)))
-
-
-def transversal_page_stats(col: Colouring, colour: int, spine_parts, page_parts):
-    """(number of transversal cliques, total page count) for the averaging
-    identity checks."""
-    _, count, total = _transversal_scan(col, colour, spine_parts, page_parts)
-    return count, total
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,10 @@ from bookram.constructions import (
 )
 from bookram.lemmas import degprod_certify, dichotomy_certify
 from bookram.regularity import (
+    _transversal_scan,
     build_reduced,
     extract_book,
     make_partition,
-    transversal_page_stats,
 )
 from bookram.sat import SAT, decode_model, sat_export, solve_dimacs
 from bookram.search import EXACT, FOUND, find_witness, ramsey_book
@@ -220,7 +220,7 @@ def _pipeline_report() -> str:
             parts = list(part.classes[:k])
             pages = list(part.classes[k:]) or [part.classes[0]]
             for c in (0, 1):
-                count, total = transversal_page_stats(col, c, parts, pages)
+                _, count, total = _transversal_scan(col, c, parts, pages)
                 rhs = _config_count(col, c, k, parts, pages)
                 assert total == rhs, (seed, size, k, m, c)
                 checks += 1

@@ -368,6 +368,17 @@ class TestPipelineCommand:
         assert code == EXIT_USAGE and text == ""
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["book"], ["profile"], ["pipeline", "--parts", "4"]],
+                             ids=["book", "profile", "pipeline"])
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_spine_size_refused_before_reading(self, command, k, capsys):
+        # the input does not exist, so an error naming --k, not the file,
+        # comes from a check made before reading it
+        code, text = run([*command, "--input", "/nonexistent/x.knc", "--k", k])
+        assert code == EXIT_USAGE and text == ""
+        err = capsys.readouterr().err
+        assert "--k" in err and "nonexistent" not in err
+
     def test_zero_counts_run(self, tmp_path):
         knc = tmp_path / "r.knc"
         knc.write_text(run(["construct", "random", "--N", "16", "--seed", "1"])[1])

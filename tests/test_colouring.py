@@ -3,6 +3,7 @@
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +143,39 @@ class TestPackRows:
         for r, u in enumerate(picked):
             assert list(matrix[r]) == [(col.adj[0][u] >> v) & 1 for v in range(n)]
         assert _pack_rows(matrix) == tuple(rows)
+
+
+class TestDenseForm:
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matrix_and_dense_match_the_edge_colours(self, data):
+        # sizes on both sides of a 256-row strip edge
+        n = data.draw(st.sampled_from([1, 255, 256, 257, 513]))
+        q = data.draw(st.integers(2, 11))
+        table = np.random.default_rng(data.draw(st.integers(0, 2**32))).integers(0, q, (n, n))
+        col = Colouring.from_edge_colours(n, q, lambda u, v, t=table.tolist(): t[u][v])
+        want = np.triu(table, 1)
+        want += want.T
+        np.fill_diagonal(want, q)
+        matrix = col.matrix()
+        assert matrix.shape == (n, n) and (matrix == want).all()
+        assert Colouring.from_matrix(want, q) == col
+        assert Colouring.from_matrix(matrix, q) == col
+        for c in range(q):
+            dense = col.dense(c)
+            assert dense.dtype == np.uint8
+            # bit v of row u is character v of the reversed binary digits
+            bits_text = "".join(format(row, f"0{n}b")[::-1] for row in col.adj[c])
+            oracle = np.frombuffer(bits_text.encode(), dtype=np.uint8).reshape(n, n) - ord("0")
+            assert (dense == oracle).all()
+            u, v = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            assert dense[u, v] == (col.adj[c][u] >> v) & 1
+
+    def test_matrix_holds_colours_above_255(self):
+        col = Colouring.from_edge_colours(4, 300, lambda u, v: 299 - 100 * u - v)
+        matrix = col.matrix()
+        assert matrix[0, 1] == 298 and matrix[2, 3] == 96 and matrix[1, 1] == 300
+        assert Colouring.from_matrix(matrix, 300) == col
 
 
 class TestMonoCliques:

@@ -21,6 +21,7 @@ from bookram.regularity import (
     RegularityVerdict,
     _find_blowup,
     _probe_draws,
+    _regular_subsets,
     _sampled_gates,
     _self_regularity_scores,
     _transversal_scan,
@@ -30,9 +31,7 @@ from bookram.regularity import (
     extract_book,
     make_partition,
     pair_density,
-    pick_regular_subset,
     transversal_best_spine,
-    transversal_page_stats,
 )
 
 from conftest import all_one_colour, random_small
@@ -312,12 +311,12 @@ class TestEpsRegularCheck:
 class TestPickRegularSubset:
     def test_two_vertex_class_is_itself(self):
         col = all_one_colour(6)
-        assert pick_regular_subset(col, (2, 5), 0.2, trials=8) == (2, 5)
+        assert _regular_subsets(col, [(2, 5)], 0.2, 8, [[0]]) == [(2, 5)]
 
     def test_all_red_returns_first_candidate(self):
         col = all_one_colour(8)
         verts = tuple(range(8))
-        got = pick_regular_subset(col, verts, 0.2, trials=5, seed=3)
+        (got,) = _regular_subsets(col, [verts], 0.2, 5, [[3]])
         rng = np.random.default_rng([3])
         first = tuple(sorted(verts[i] for i in rng.choice(8, 4, replace=False)))
         assert got == first
@@ -326,7 +325,7 @@ class TestPickRegularSubset:
         col = random_colouring(64, 21)
         verts = tuple(range(16))
         trials = 9
-        got = pick_regular_subset(col, verts, 0.25, trials=trials, seed=8)
+        (got,) = _regular_subsets(col, [verts], 0.25, trials, [[8]])
         rng = np.random.default_rng([8])
         cands = [
             tuple(sorted(verts[i] for i in rng.choice(16, 8, replace=False)))
@@ -386,7 +385,7 @@ class TestPickRegularSubset:
             score = reference_self_score(col, cand, eta, np.random.default_rng([seed, 101, ci]))
             if best is None or score < best[0] - 1e-12:
                 best = (score, cand)
-        assert pick_regular_subset(col, verts, eta, trials, seed=seed) == best[1]
+        assert _regular_subsets(col, [ordered], eta, trials, [[seed]]) == [best[1]]
 
 
 def generator_at(start):
@@ -544,7 +543,8 @@ class TestProbeDraws:
             (range(50, 70), range(20), 11),
             (range(64, 96), range(32, 64), [2, 7919, 0, 1, 2]),
         ]
-        blocks = [regularity._block(col, RED, a, b) for a, b, _ in gates]
+        red = col.dense(RED)
+        blocks = [red.take(a, 0).take(b, 1) for a, b, _ in gates]
         found = _sampled_gates(blocks, 0.3, 120, [seed for _, _, seed in gates])
         assert loop_chunks == [(120, 10, 32, 10, 32)]
         for (a, b, seed), got in zip(gates, found):
@@ -625,8 +625,16 @@ class TestMakePartition:
         seed = data.draw(st.integers(0, 10_000))
         eta = data.draw(st.floats(0.01, 0.6))
         trials = data.draw(st.integers(0, 12))
-        part = make_partition(col, m, seed=seed, steps=5, eta=eta, subset_trials=trials)
-        for idx, (cl, sub) in enumerate(zip(part.classes, part.subsets)):
+        classes = [tuple(cl) for cl in balanced_swap_search(col, m, seed, 5)[0]]
+        seeds = [[seed, 7919, idx] for idx in range(m)]
+        subsets = _regular_subsets(col, classes, eta, trials, seeds)
+        # make_partition is the same two steps with its fixed trial count
+        part = make_partition(col, m, seed=seed, steps=5, eta=eta)
+        assert part.classes == tuple(classes)
+        assert part.subsets == tuple(
+            _regular_subsets(col, classes, eta, regularity._SUBSET_TRIALS, seeds)
+        )
+        for idx, (cl, sub) in enumerate(zip(classes, subsets)):
             size = max(2, (len(cl) + 1) // 2)
             if size >= len(cl):
                 assert sub == cl
@@ -862,7 +870,7 @@ class TestTransversalBestSpine:
             parts = [tuple(range(0, 4)), tuple(range(4, 10))]
             pages = [tuple(range(8, 12))]
             for c in (0, 1):
-                count, total = transversal_page_stats(col, c, parts, pages)
+                _, count, total = _transversal_scan(col, c, parts, pages)
                 rhs = 0
                 page_set = set(pages[0])
                 for clique in mono_cliques(col, c, 3):
@@ -878,7 +886,7 @@ class TestTransversalBestSpine:
         # parts that overlap without being equal are refused
         col = random_small(12, 1)
         with pytest.raises(ValueError):
-            transversal_page_stats(col, 0, [(0, 1), (0, 1, 2)], [range(12)])
+            _transversal_scan(col, 0, [(0, 1), (0, 1, 2)], [range(12)])
         with pytest.raises(ValueError):
             transversal_best_spine(col, 0, [(0, 1), (1, 2), (1, 2)], [range(12)])
         # disjoint parts with interleaved labels, some listed twice: the scan
@@ -894,8 +902,8 @@ class TestTransversalBestSpine:
                     k = len(spine_parts)
                     fits = [s for s in mono_cliques(col, c, k) if _has_sdr(s, spine_parts)]
                     got = [(common_pages(col, c, s) & page_mask).bit_count() for s in fits]
-                    stats = transversal_page_stats(col, c, spine_parts, pages)
-                    assert stats == (len(fits), sum(got))
+                    _, count, total = _transversal_scan(col, c, spine_parts, pages)
+                    assert (count, total) == (len(fits), sum(got))
                     cert = transversal_best_spine(col, c, spine_parts, pages)
                     if not fits:
                         assert cert is None
@@ -907,7 +915,7 @@ class TestTransversalBestSpine:
         parts = [tuple(range(0, 16)), tuple(range(16, 32))]
         pages = [tuple(range(32, 48))]
         cert = transversal_best_spine(col, 0, parts, pages)
-        count, total = transversal_page_stats(col, 0, parts, pages)
+        _, count, total = _transversal_scan(col, 0, parts, pages)
         assert cert.page_count * count >= total
 
     @given(st.data())
@@ -926,7 +934,8 @@ class TestTransversalBestSpine:
         page_mask = mask_of(pages[0])
         fits = [s for s in mono_cliques(col, c, len(spine_parts)) if _has_sdr(s, spine_parts)]
         got = [(common_pages(col, c, s) & page_mask).bit_count() for s in fits]
-        assert transversal_page_stats(col, c, spine_parts, pages) == (len(fits), sum(got))
+        _, count, total = _transversal_scan(col, c, spine_parts, pages)
+        assert (count, total) == (len(fits), sum(got))
         cert = transversal_best_spine(col, c, spine_parts, pages)
         if not fits:
             assert cert is None
@@ -967,7 +976,6 @@ class TestExtractBook:
         part = EquitablePartition(
             (tuple(range(4)), tuple(range(4, 8))),
             (tuple(range(4)), tuple(range(4, 8))),
-            eta=0.2,
         )
         red = build_reduced(col, part, eta=0.2, delta=0.2, seed=0)
         assert red.edge_colours[0][1] == 1
@@ -1012,7 +1020,7 @@ def reduced_of(states) -> ReducedGraph:
     m = len(states)
     singles = tuple((i,) for i in range(m))
     zeros = ((0.0,) * m,) * m
-    part = EquitablePartition(singles, singles, 0.0)
+    part = EquitablePartition(singles, singles)
     return ReducedGraph(part, 0.0, 0.0, (RED,) * m, states, zeros, zeros, zeros, frozenset())
 
 
