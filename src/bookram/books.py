@@ -5,10 +5,15 @@ A book with spine size k is a monochromatic K_k together with the vertices
 joined to all of it in the same colour (its pages).  ``max_book`` reports the
 best spine over all colours with deterministic tie-breaking: smaller colour
 index first, then lexicographically smallest spine.
+
+``max_book`` and ``local_profile`` read every page count from the exact
+float32 matrix products of ``_spine_blocks``, for every k; ``has_mono_book``
+walks ``clique_pages`` instead and stops at the first witness.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -25,7 +30,7 @@ from .colouring import (
 )
 
 #: Fewest vertices on which the dense path runs its colours in threads.  On
-#: smaller colourings the per-spine Python work of k=3 and the pool's start-up
+#: smaller colourings the per-spine Python work of k >= 3 and the pool's start-up
 #: outweigh the matrix products, and threads only contend for the
 #: interpreter: on 2 cores, random K_256 took 1.6x (k=2) and 1.3x (k=3) as
 #: long in threads, K_512 0.8x for k=3 and K_2048 0.6x for k=2.
@@ -59,13 +64,7 @@ def max_book(col: Colouring, k: int) -> BookCertificate | None:
     """
     if k < 1:
         raise ValueError("spine size must be at least 1")
-    if k > col.n:
-        return None
-    if k in (2, 3):
-        found = _max_book_dense(col, k)
-    else:
-        found = _max_book_bitset(col, k)
-    return _certificate(col, found)
+    return _certificate(col, _max_book_dense(col, k))
 
 
 def _certificate(col: Colouring, found) -> BookCertificate | None:
@@ -77,36 +76,28 @@ def _certificate(col: Colouring, found) -> BookCertificate | None:
     return BookCertificate(colour, spine, tuple(bits(common_pages(col, colour, spine))))
 
 
-def _max_book_bitset(col: Colouring, k: int):
-    """Clique-extension search; pages are popcounts of the running
-    neighbourhood intersection.  Returns (pages, colour, spine) or None."""
-    best = None
-    bar = -1  # below every page count, so it prunes only spines that cannot close
-    full = col.full_mask()
-    for c in range(col.q):
-        for spine, pages in clique_pages(col.adj[c], full, full, k, bar):
-            bar = pages.bit_count()
-            best = (bar, c, spine)
-    return best
-
-
-def _best_edge(pages: np.ndarray, edge: np.ndarray):
-    """Largest entry of ``pages`` where ``edge`` is 1, with its row-major
-    first position; the count is -1 when ``edge`` has no 1.  Overwrites
-    ``pages``."""
-    # shifted up by one and zeroed off the edges, so non-edges sit below every edge
+def _block_best(best, c: int, block):
+    """``best`` (pages, colour, spine), or the block's first row-major
+    maximum in colour c when it has strictly more pages.  Overwrites the
+    block's pages."""
+    heads, labels, pages, mask = block
+    # shifted up by one and zeroed off the mask, so non-spines sit below every spine
     pages += 1
-    pages *= edge
+    pages *= mask
     at = int(pages.argmax())
-    return int(pages.flat[at]) - 1, np.unravel_index(at, pages.shape)
+    m = int(pages.flat[at]) - 1
+    if m < 0 or (best is not None and m <= best[0]):
+        return best
+    i, j = np.unravel_index(at, pages.shape)
+    return m, c, (*map(int, heads[i]), int(labels[j]))
 
 
 def _max_book_dense(col: Colouring, k: int):
-    """Matrix path for k in {2, 3}: page counts via exact float32 matmuls
-    (every count is below 2^24), one colour per task of ``_map_colours``.
+    """Best (pages, colour, spine) over the blocks of ``_spine_blocks``, one
+    colour per task of ``_map_colours``, or None when there is no spine.
 
-    Tie-breaking matches the bitset path: colours ascending, first row-major
-    argmax inside a colour is the lexicographically smallest spine.
+    Colours ascending, and the first row-major maximum inside a colour, which
+    is its lexicographically smallest best spine.
     """
     return _first_best(_map_colours(col, lambda c: _max_book_colour(col, k, c)))
 
@@ -119,19 +110,11 @@ def _first_best(found):
 
 
 def _max_book_colour(col: Colouring, k: int, c: int):
-    """Best (pages, c, spine) of colour c alone, or None when it has no spine."""
-    a = col.dense(c)
-    degree = a.sum(1, dtype=np.int64)
+    """Best (pages, c, spine) of colour c alone, or None when it has no spine;
+    the best so far is the bar of the descent."""
     best = None
-
-    def beaten(u: int) -> bool:
-        # pages of any triangle through u are <= deg - 2
-        return best is not None and degree[u] - 2 <= best[0]
-
-    for prefix, labels, pages, edge in _spine_blocks(a, k, beaten):
-        m, (i, j) = _best_edge(pages, edge)
-        if m >= 0 and (best is None or m > best[0]):
-            best = (m, c, (*prefix, int(labels[i]), int(labels[j])))
+    for block in _spine_blocks(col.dense(c), k, lambda: -1 if best is None else best[0]):
+        best = _block_best(best, c, block)
     return best
 
 
@@ -153,6 +136,18 @@ def _blas_thread_limit():
         limit.argtypes, limit.restype = [ctypes.c_int], ctypes.c_int
         return limit
     return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Limit the calling thread to one OpenBLAS thread, restoring its previous
+    limit on exit; a no-op when the per-thread limit is missing."""
+    limit = _blas_thread_limit() or (lambda share: share)
+    previous = limit(1)
+    try:
+        yield
+    finally:
+        limit(previous)
 
 
 def _usable_cpus() -> int:
@@ -188,29 +183,78 @@ def _map_colours(col: Colouring, task) -> list:
         return list(pool.map(task, range(col.q)))
 
 
-def _spine_blocks(a: np.ndarray, k: int, skip=None):
-    """The size-k spines (k in {2, 3}) of the 0/1 matrix ``a`` as blocks
-    (prefix, labels, pages, edge): each 1 at ``edge[i, j]`` is the spine
-    ``prefix + (labels[i], labels[j])`` with ``pages[i, j]`` pages, both
-    float32.  For k=3 there is one block per smallest spine vertex u, in
-    ascending order, left out when it has fewer than two later neighbours or
-    ``skip(u)`` holds; ``skip`` is asked only as each block is reached."""
+def _spine_blocks(a: np.ndarray, k: int, bar=lambda: -1):
+    """The size-k spines (cliques) of the 0/1 matrix ``a`` as blocks (heads,
+    labels, pages, mask): each True ``mask[r, j]`` is the spine ``(*heads[r],
+    labels[j])`` with ``pages[r, j]`` pages, an exact float32 (counts are
+    below 2^24).  No spine is in two blocks, and blocks and their row-major
+    entries come in lexicographic order.  A spine is left out only when, as
+    its branch is reached, the branch cannot have more than ``bar()`` pages.
+
+    k=1 is the degree row and k=2 the product ``a @ a``.  For k >= 3 the
+    blocks come per smallest spine vertex u, ascending, from B, the rows of
+    u's later neighbours restricted to its neighbours, and E, the upper
+    triangle of edges among them.  From R = B and C = E, each of k-3 levels
+    counts the pages of every one-vertex extension as ``R @ B.T`` and keeps
+    those to a candidate that, less the picks still to make, beat the bar,
+    as next rows ``R[r] * B[j]`` and candidates ``C[r] & E[j]``; the last
+    product is the block.  Rows are extended _CHUNK at a time, depth first,
+    so memory stays bounded and the bar is re-read between chunks.  The
+    per-u products run on one OpenBLAS thread (2 cores, K_511 k=3: 0.25 s,
+    against 0.29 s on two).
+    """
+    n = len(a)
+    if k == 1:
+        pages = a.sum(1, dtype=np.float32)[None]
+        yield np.empty((1, 0), int), np.arange(n), pages, np.ones(pages.shape, bool)
+        return
     if k == 2:
         edge = a.astype(np.float32)
-        yield (), np.arange(len(a)), edge @ edge, edge
+        yield np.arange(n)[:, None], np.arange(n), edge @ edge, np.triu(a.view(bool), 1)
         return
-    for u in range(len(a) - 2):
-        if skip is not None and skip(u):
-            continue
-        nbrs = np.flatnonzero(a[u])
-        first = int(np.searchsorted(nbrs, u))
-        cand = nbrs[first:]
-        if cand.size < 2:
-            continue
-        # rows of the later neighbours, restricted to u's neighbours; the later
-        # neighbours are the last columns, so the edge block among them is a slice
-        sub = a.take(cand, 0).take(nbrs, 1).astype(np.float32)
-        yield (u,), cand, sub @ sub.T, sub[:, first:]
+    degree = a.sum(1, dtype=np.int64)
+    # its leading square blocks are the strict upper triangles of every size
+    # up to the largest number of later neighbours
+    upper = np.triu(np.ones((degree.max(),) * 2, bool), 1)
+    with _one_blas_thread():
+        for u in range(n - k + 1):
+            # every page of a spine through u is one of its other neighbours
+            if degree[u] - (k - 1) <= bar():
+                continue
+            nbrs = np.flatnonzero(a[u])
+            first = int(np.searchsorted(nbrs, u))
+            cand = nbrs[first:]
+            if cand.size < k - 1:
+                continue
+            # the later neighbours are the last columns, so their edges are a slice
+            block = a.take(cand, 0).take(nbrs, 1)
+            rows = block.astype(np.float32)
+            later = block[:, first:].view(bool) & upper[: cand.size, : cand.size]
+            heads = np.column_stack((np.full(cand.size, u), cand))
+            yield from _descend(rows, later, rows, later, heads, cand, k - 3, bar)
+
+
+#: Clique rows the descent of ``_spine_blocks`` extends at a time.
+_CHUNK = 1024
+
+
+def _descend(b, e, rows, cands, heads, labels, left, bar):
+    """The blocks of ``_spine_blocks`` below the cliques ``heads``, whose
+    pages among u's neighbours are ``rows`` and whose later common neighbours
+    are ``cands``, with ``left + 1`` vertices still to add from ``labels``."""
+    pages = rows @ b.T
+    if left == 0:
+        yield heads, labels, pages, cands
+        return
+    # the bar only rises, so each chunk re-checks a subset of these pairs
+    r, j = np.nonzero(cands & (pages > bar() + left))
+    for at in range(0, r.size, _CHUNK):
+        rr, jj = r[at : at + _CHUNK], j[at : at + _CHUNK]
+        live = pages[rr, jj] > bar() + left
+        rr, jj = rr[live], jj[live]
+        if rr.size:
+            extended = np.column_stack((heads[rr], labels[jj]))
+            yield from _descend(b, e, rows[rr] * b[jj], cands[rr] & e[jj], extended, labels, left - 1, bar)
 
 
 def has_mono_book(col: Colouring, k: int, n: int) -> bool:
@@ -272,49 +316,27 @@ def local_profile(col: Colouring, k: int) -> BookProfile:
     together with the best certificate (same tie rules as ``max_book``)."""
     if k < 1:
         raise ValueError("spine size must be at least 1")
-    if k in (2, 3):
-        histograms, best = _profile_dense(col, k)
-    else:
-        histograms, best = _profile_enumerate(col, k)
+    histograms, best = _profile_dense(col, k)
     return BookProfile(k, tuple(histograms), _certificate(col, best))
 
 
-def _profile_enumerate(col: Colouring, k: int):
-    """Per-colour page histograms and the best (pages, colour, spine), one
-    spine at a time in lexicographic order."""
-    histograms: list[dict[int, int]] = []
-    best = None
-    full = col.full_mask()
-    for c in range(col.q):
-        hist: dict[int, int] = {}
-        for spine, mask in clique_pages(col.adj[c], full, full, k):
-            pages = mask.bit_count()
-            hist[pages] = hist.get(pages, 0) + 1
-            if best is None or pages > best[0]:
-                best = (pages, c, spine)
-        histograms.append(hist)
-    return histograms, best
-
-
 def _profile_dense(col: Colouring, k: int):
-    """``_profile_enumerate`` for k in {2, 3} from the page matrices of
-    ``_spine_blocks``, one colour per task of ``_map_colours``."""
+    """Per-colour page histograms and the best (pages, colour, spine) from
+    the blocks of ``_spine_blocks``, one colour per task of ``_map_colours``."""
     per_colour = _map_colours(col, lambda c: _profile_colour(col, k, c))
     return [hist for hist, _ in per_colour], _first_best(best for _, best in per_colour)
 
 
 def _profile_colour(col: Colouring, k: int, c: int):
-    """Page histogram of colour c's spines (a histogram of the upper-triangle
-    edge entries of each page matrix) and its first row-major maximum, the
+    """Page histogram of colour c's spines (a histogram of the masked page
+    entries of every block, with no bar) and its first row-major maximum, the
     lexicographically smallest spine, as (pages, c, spine)."""
     counts = np.zeros(col.n, dtype=np.int64)
     best = None
-    for prefix, labels, pages, edge in _spine_blocks(col.dense(c), k):
-        upper = np.triu(edge, 1).astype(bool)
-        counts += np.bincount(pages[upper].astype(np.int64), minlength=col.n)
-        m, (i, j) = _best_edge(pages, edge)
-        if m >= 0 and (best is None or m > best[0]):
-            best = (m, c, (*prefix, int(labels[i]), int(labels[j])))
+    for block in _spine_blocks(col.dense(c), k):
+        _, _, pages, mask = block
+        counts += np.bincount(pages[mask].astype(np.int64), minlength=col.n)
+        best = _block_best(best, c, block)
     return {int(p): int(counts[p]) for p in np.flatnonzero(counts)}, best
 
 

@@ -255,6 +255,9 @@ def _dispatch(args, out) -> int:
             if value < 0:
                 raise ValueError(f"{flag} must be >= 0, got {value}")
         col = parse_colouring(_read(args.input))
+        # refused here, before make_partition's swap search and subset scoring
+        if col.q != 2:
+            raise ValueError("the reduced-graph pipeline is two-colour only")
         if not 1 <= args.parts <= col.n:
             raise ValueError(f"--parts must lie in 1..{col.n}, got {args.parts}")
         partition = regularity.make_partition(

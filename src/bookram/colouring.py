@@ -255,8 +255,9 @@ def clique_pages(rows, candidates: int, inter: int, size: int, bar: int | None =
     yielded, and each one yielded raises the bar to its page count.  A branch
     is dropped once its page count less the picks still to make is at most
     the bar: every pick lies in the running intersection and, having no loop,
-    leaves it.  This is the one clique extension of the package; every spine
-    search is a loop over it.
+    leaves it.  This is the one bitset clique extension of the package; every
+    spine search but the matrix descent of ``max_book`` and ``local_profile``
+    is a loop over it.
     """
     if bar is not None and inter.bit_count() - size <= bar:
         return

@@ -3,17 +3,16 @@
 import itertools
 import random
 import threading
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bookram import books
 from bookram.books import (
-    _max_book_bitset,
     _max_book_dense,
     _profile_dense,
-    _profile_enumerate,
     has_mono_book,
     local_profile,
     max_book,
@@ -23,12 +22,71 @@ from bookram.books import (
 from bookram.colouring import (
     BookCertificate,
     Colouring,
+    bits,
+    clique_pages,
     common_pages,
     count_mono_cliques,
+    mask_of,
 )
 from bookram.constructions import multicolour_blowup, pentagon_colouring, random_colouring
 
 from conftest import all_one_colour, random_small
+
+
+def _max_book_bitset(col: Colouring, k: int):
+    """Reference copy of the clique-extension search the dense descent
+    replaced: pages are popcounts of the running neighbourhood intersection,
+    and each spine found raises the bar.  Returns (pages, colour, spine) or
+    None."""
+    best = None
+    bar = -1  # below every page count, so it prunes only spines that cannot close
+    full = col.full_mask()
+    for c in range(col.q):
+        for spine, pages in clique_pages(col.adj[c], full, full, k, bar):
+            bar = pages.bit_count()
+            best = (bar, c, spine)
+    return best
+
+
+def _profile_enumerate(col: Colouring, k: int):
+    """Reference copy of the one-spine-at-a-time profile: per-colour page
+    histograms and the best (pages, colour, spine), in lexicographic order."""
+    histograms: list[dict[int, int]] = []
+    best = None
+    full = col.full_mask()
+    for c in range(col.q):
+        hist: dict[int, int] = {}
+        for spine, mask in clique_pages(col.adj[c], full, full, k):
+            pages = mask.bit_count()
+            hist[pages] = hist.get(pages, 0) + 1
+            if best is None or pages > best[0]:
+                best = (pages, c, spine)
+        histograms.append(hist)
+    return histograms, best
+
+
+def _is_clique(col: Colouring, c: int, spine) -> bool:
+    """True iff every two vertices of ``spine`` are joined in colour c."""
+    m = mask_of(spine)
+    return all((col.adj[c][v] | 1 << v) & m == m for v in spine)
+
+
+def _brute_force(col: Colouring, k: int):
+    """(histograms, best certificate) over every k-subset of the vertices,
+    kept when it is a clique in the colour: the most pages, then the lowest
+    colour, then the lexicographically smallest spine."""
+    histograms, best = [], None
+    for c in range(col.q):
+        hist: dict[int, int] = {}
+        for spine in itertools.combinations(range(col.n), k):
+            if not _is_clique(col, c, spine):
+                continue
+            pages = common_pages(col, c, spine)
+            hist[pages.bit_count()] = hist.get(pages.bit_count(), 0) + 1
+            if best is None or pages.bit_count() > best.page_count:
+                best = BookCertificate(c, spine, tuple(bits(pages)))
+        histograms.append(hist)
+    return tuple(histograms), best
 
 
 class TestMaxBook:
@@ -221,6 +279,184 @@ class TestColourThreads:
             worker.start()
             worker.join(timeout=10)
             assert not worker.is_alive() and shares[1] == 1
+
+
+    @pytest.mark.parametrize("k", [4, 5])
+    @pytest.mark.parametrize("name", ["random-200", "paley-13", "pentagon-blowup-200", "empty-colour-60"])
+    def test_threads_deep_spines_equal_oracle(self, name, k, monkeypatch):
+        col = THREADED_INPUTS[name]()
+        calls = _in_threads(monkeypatch)
+        assert _max_book_dense(col, k) == _max_book_bitset(col, k)
+        assert calls and all(ident != threading.get_ident() for ident, _ in calls)
+
+    def test_calling_thread_blas_limit_restored(self):
+        # the descent runs on one OpenBLAS thread and must hand the calling
+        # thread back its own limit, which every later product in the
+        # process inherits
+        limit = books._blas_thread_limit()
+        if limit is None:
+            pytest.skip("numpy's OpenBLAS has no per-thread limit")
+        original = limit(3)
+        try:
+            assert max_book(random_colouring(64, 1), 4) is not None
+            assert limit(3) == 3
+        finally:
+            limit(original)
+
+
+def _small_colouring(kind: str, n: int, q: int, seed: int) -> Colouring:
+    """A colouring of K_n in q colours: uniform ("random"); uniform over all
+    but the last colour, which stays empty ("empty-colour"); consecutive
+    blocks of a random size that are cliques of colour 0, so equal books
+    abound ("blocks"); or every edge in the last colour ("one-colour")."""
+    rng = random.Random(seed)
+    if kind == "random":
+        return Colouring.from_edge_colours(n, q, lambda u, v: rng.randrange(q))
+    if kind == "empty-colour":
+        return Colouring.from_edge_colours(n, q, lambda u, v: rng.randrange(q - 1))
+    if kind == "blocks":
+        size = rng.randrange(1, 7)
+        return Colouring.from_edge_colours(
+            n, q, lambda u, v: 0 if u // size == v // size else 1 + (u + v) % (q - 1)
+        )
+    return Colouring.from_edge_colours(n, q, lambda u, v: q - 1)
+
+
+class TestDescent:
+    @given(
+        st.sampled_from(("random", "empty-colour", "blocks", "one-colour")),
+        st.integers(1, 20),
+        st.sampled_from((2, 3)),
+        st.integers(1, 6),
+        st.integers(0, 10**6),
+    )
+    @example("blocks", 20, 3, 6, 0)  # K_6 blocks of colour 0: 3 of them tie at 0 pages
+    @example("blocks", 20, 2, 6, 1)  # blocks of 5: k above colour 0's clique number
+    @example("one-colour", 5, 2, 6, 0)  # k above n
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, kind, n, q, k, seed):
+        col = _small_colouring(kind, n, q, seed)
+        histograms, best = _brute_force(col, k)
+        assert max_book(col, k) == best
+        profile = local_profile(col, k)
+        assert profile.histograms == histograms
+        assert profile.best == best
+
+    @pytest.mark.parametrize(
+        "col, k",
+        [
+            (pentagon_colouring(), 3),
+            # colours 0 and 1 are triangle-free and colour 2 is five K_2
+            (multicolour_blowup(pentagon_colouring(), 2), 3),
+            (all_one_colour(7), 6),
+            (all_one_colour(7), 8),
+        ],
+        ids=["pentagon-3", "blowup-10-3", "red-7-6", "red-7-8"],
+    )
+    def test_clique_number_edges_match_brute_force(self, col, k):
+        histograms, best = _brute_force(col, k)
+        assert max_book(col, k) == best
+        assert local_profile(col, k).histograms == histograms
+
+    @pytest.mark.parametrize("k", [4, 5])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: paley_colouring(29),
+            lambda: paley_colouring(37),
+            lambda: paley_colouring(101),
+            lambda: random_colouring(192, 23),
+            lambda: random_colouring(192, 24),
+        ],
+        ids=["paley-29", "paley-37", "paley-101", "random-192-23", "random-192-24"],
+    )
+    def test_certificates_match_reference(self, make, k):
+        # P_29 and P_37 have no monochromatic K_5, so both searches give None
+        col = make()
+        found = _max_book_bitset(col, k)
+        assert _max_book_dense(col, k) == found
+        assert (found is None) == (k == 5 and col.n < 100)
+        if found is not None:
+            _, colour, spine = found
+            pages = tuple(bits(common_pages(col, colour, spine)))
+            assert max_book(col, k) == BookCertificate(colour, spine, pages)
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_paley_profiles_match_reference(self, k):
+        for q in (29, 37):
+            col = paley_colouring(q)
+            assert _profile_dense(col, k) == _profile_enumerate(col, k)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_size_leaves_results(self, chunk, monkeypatch):
+        monkeypatch.setattr(books, "_CHUNK", chunk)
+        col = random_colouring(48, 3)
+        for k in (4, 5):
+            assert _max_book_dense(col, k) == _max_book_bitset(col, k)
+            assert _profile_dense(col, k) == _profile_enumerate(col, k)
+
+    @given(st.integers(1, 16), st.integers(3, 6), st.integers(-1, 6), st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_fixed_bar_reaches_exactly_the_live_prefixes(self, n, k, bar, seed):
+        # with a bar that stays put, the last-level rows are the (k-1)-cliques
+        # whose smallest vertex has k-1 later neighbours and more than bar + k-1
+        # neighbours, and whose every prefix of 3 or more vertices has more
+        # pages than bar plus the picks still to make, in lexicographic order
+        col = random_small(n, seed)
+        rows = col.adj[0]
+
+        def live(prefix):
+            u = prefix[0]
+            if (rows[u] >> u + 1).bit_count() < k - 1 or rows[u].bit_count() - (k - 1) <= bar:
+                return False
+            return all(common_pages(col, 0, prefix[:size]).bit_count() - (k - size) > bar
+                       for size in range(3, k))
+
+        expected = [
+            prefix
+            for prefix in itertools.combinations(range(n), k - 1)
+            if _is_clique(col, 0, prefix) and live(prefix)
+        ]
+        reached = []
+        for heads, labels, pages, mask in books._spine_blocks(col.dense(0), k, lambda: bar):
+            for r, j in zip(*mask.nonzero()):
+                spine = (*map(int, heads[r]), int(labels[j]))
+                assert pages[r, j] == common_pages(col, 0, spine).bit_count()
+                assert _is_clique(col, 0, spine)
+            reached += [tuple(map(int, head)) for head in heads]
+        assert reached == expected
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_all_red_reaches_one_row(self, k, monkeypatch):
+        # every k-spine of the all-red K_12 has 12 - k pages, so once the
+        # first is found no branch can beat it: with one-row chunks the
+        # descent reaches a single last-level row, where a prune keeping
+        # ties or a bar read once per level would reach more
+        monkeypatch.setattr(books, "_CHUNK", 1)
+        rows = []
+        blocks = books._spine_blocks
+
+        def counted(*args):
+            for block in blocks(*args):
+                rows.append(len(block[0]))
+                yield block
+
+        monkeypatch.setattr(books, "_spine_blocks", counted)
+        cert = max_book(all_one_colour(12), k)
+        assert (cert.colour, cert.spine, cert.page_count) == (0, tuple(range(k)), 12 - k)
+        assert rows == [1]
+
+    def test_memory_is_bounded(self):
+        # the descent builds at most _CHUNK clique rows a level at a time;
+        # building every extension of a level at once would take gigabytes
+        col = random_colouring(384, 2)
+        tracemalloc.start()
+        try:
+            assert max_book(col, 5) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestHasMonoBook:

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from bookram import constructions, sat, search
+from bookram import constructions, regularity, sat, search
 from bookram.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INTERNAL,
@@ -378,6 +378,19 @@ class TestPipelineCommand:
         assert code == EXIT_USAGE and text == ""
         err = capsys.readouterr().err
         assert "--k" in err and "nonexistent" not in err
+
+    def test_more_than_two_colours_refused_before_partition(self, tmp_path, monkeypatch, capsys):
+        # the 3-colour pentagon blow-up is refused right after the parse,
+        # before the partition search runs
+        def no_partition(*args, **kwargs):
+            raise AssertionError("make_partition ran on a 3-colour input")
+
+        monkeypatch.setattr(regularity, "make_partition", no_partition)
+        knc = tmp_path / "blowup.knc"
+        knc.write_text(run(["construct", "blowup", "--n", "4"])[1])
+        code, text = run(["pipeline", "--input", str(knc), "--k", "2", "--parts", "4"])
+        assert code == EXIT_USAGE and text == ""
+        assert "the reduced-graph pipeline is two-colour only" in capsys.readouterr().err
 
     def test_zero_counts_run(self, tmp_path):
         knc = tmp_path / "r.knc"
