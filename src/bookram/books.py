@@ -265,8 +265,6 @@ def has_mono_book(col: Colouring, k: int, n: int) -> bool:
     """
     if k < 1 or n < 1:
         raise ValueError("spine size and page bound must be at least 1")
-    if k > col.n:
-        return False
     full = col.full_mask()
     for c in range(col.q):
         for _ in clique_pages(col.adj[c], full, full, k, n - 1):

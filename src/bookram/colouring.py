@@ -336,8 +336,6 @@ def count_mono_cliques(col: Colouring, k: int) -> tuple[int, ...]:
     """
     if k < 1:
         raise ValueError("clique size must be at least 1")
-    if k > col.n:
-        return (0,) * col.q
     full = col.full_mask()
     # each (k-1)-clique closes one k-clique per common neighbour above its top
     return tuple(

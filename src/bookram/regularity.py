@@ -41,10 +41,6 @@ _FLOYD_LIMIT = 10_000
 # few megabytes, and a gate stage of 28 gates of 32 by 32 vertices with 120
 # trials (the criterion-7 mix's largest) still fits in one call
 _CELL_CAP = 1 << 18
-# trials one decoding call takes from each generator at most, so a gate that
-# fails early skips most of a long run of trials (eps_regular_check's default
-# is 2,000) while the pipeline's _GATE_TRIALS-trial gates still take one call
-_PROBE_CHUNK = 512
 # trials of each sampled regularity gate of the reduced graph
 _GATE_TRIALS = 120
 # random candidate subsets of a class, scored besides the class itself
@@ -57,23 +53,6 @@ _SELF_PROBES = 24
 # of this is exact in int64, with no unsigned operand to promote
 _REDRAW_BELOW = (1 << 32) % np.arange(1, _FLOYD_LIMIT + 2, dtype=np.int64)
 _LOW32 = 0xFFFFFFFF
-
-
-def pair_density(col: Colouring, colour: int, a, b) -> float:
-    """Edge density of ``colour`` between vertex sets a and b.
-
-    Uses the ordered-pair convention e(A,B)/|A||B| throughout, so for a == b
-    both orientations of each internal edge are counted and the diagonal is
-    not.
-    """
-    a = tuple(a)
-    b = tuple(b)
-    if not a or not b:
-        raise ValueError("density of an empty set is undefined")
-    mb = mask_of(b)
-    adjc = col.adj[colour]
-    hits = sum((adjc[u] & mb).bit_count() for u in a)
-    return hits / (len(a) * len(b))
 
 
 def _probe_floor(eps: float, size: int) -> int:
@@ -93,9 +72,9 @@ def _probe_draws(rngs, trials: int, qa, na, qb, nb):
     and their trials done, done + 1, ...: su and sv have one row per
     generator and one column per trial, rows_a and rows_b one float 0/1 mark
     row per probe, padded to the widest set of the batch.  Batches stay
-    within _CELL_CAP cells and _PROBE_CHUNK trials; each generator is left
-    where the calls leave it.  A generator with a side above _FLOYD_LIMIT
-    forms a batch of its own, drawn by the calls themselves.
+    within _CELL_CAP cells; each generator is left where the calls leave
+    it.  A generator with a side above _FLOYD_LIMIT forms a batch of its
+    own, drawn by the calls themselves.
     """
     streams = len(rngs)
     qa, na, qb, nb = (
@@ -106,7 +85,7 @@ def _probe_draws(rngs, trials: int, qa, na, qb, nb):
     if ((qa > na) | (qb > nb)).any():
         raise ValueError("probes do not fit their sets")
     width = np.maximum(na, nb).tolist()
-    rows = 2 * min(trials, _PROBE_CHUNK)
+    rows = 2 * trials
     lo = 0
     while lo < streams:
         hi, wide = lo + 1, width[lo]
@@ -116,7 +95,7 @@ def _probe_draws(rngs, trials: int, qa, na, qb, nb):
             wide = max(wide, width[hi])
             hi += 1
         # a single generator above the cap takes fewer trials a call
-        step = max(1, min(trials, _PROBE_CHUNK, _CELL_CAP // (2 * wide * (hi - lo))))
+        step = max(1, min(trials, _CELL_CAP // (2 * wide * (hi - lo))))
         part = slice(lo, hi)
         for done in range(0, trials, step):
             count = min(step, trials - done)
@@ -325,79 +304,6 @@ def _sampled_gates(blocks, eps: float, trials: int, seeds) -> list:
         if None not in found:
             break
     return found
-
-
-@dataclass(frozen=True)
-class RegularityVerdict:
-    """``regular`` is exact in exhaustive mode; in sampled mode it only means
-    no violation was found in the stated number of trials (one-sided)."""
-
-    regular: bool
-    mode: str
-    trials: int
-    base_density: float
-    witness: tuple[tuple[int, ...], tuple[int, ...], float] | None = None
-
-
-def eps_regular_check(
-    col: Colouring,
-    colour: int,
-    a,
-    b,
-    eps: float,
-    mode: str = "exhaustive",
-    trials: int = 2000,
-    seed: int = 0,
-) -> RegularityVerdict:
-    """Check whether (a, b) is eps-regular in the given colour.
-
-    Exhaustive mode (|a|, |b| <= 14) scans every qualifying subset of ``a``;
-    for each one the extreme sub-densities over subsets of ``b`` are attained
-    by the top / bottom vertices by degree, so the verdict is exact and comes
-    with a violating witness pair when irregular.  Sampled mode draws
-    ``trials`` random subset pairs (``_probe_draws``) and counts their edges
-    in the a x b block; a and b are sets of distinct vertices.
-    """
-    a = tuple(a)
-    b = tuple(b)
-    base = pair_density(col, colour, a, b)
-    qa = _probe_floor(eps, len(a))
-    qb = _probe_floor(eps, len(b))
-    adjc = col.adj[colour]
-    if mode == "exhaustive":
-        if len(a) > 14 or len(b) > 14:
-            raise ValueError("exhaustive mode caps both sides at 14 vertices")
-        checked = 0
-        for su in range(qa, len(a) + 1):
-            for usub in itertools.combinations(a, su):
-                checked += 1
-                mu = mask_of(usub)
-                degs = sorted(((adjc[w] & mu).bit_count(), w) for w in b)
-                lo = degs[:qb]
-                hi = degs[-qb:]
-                dmin = sum(d for d, _ in lo) / (su * qb)
-                dmax = sum(d for d, _ in hi) / (su * qb)
-                if dmax > base + eps + _FUZZ:
-                    vsub = tuple(sorted(w for _, w in hi))
-                    return RegularityVerdict(
-                        False, mode, checked, base, (usub, vsub, dmax)
-                    )
-                if dmin < base - eps - _FUZZ:
-                    vsub = tuple(sorted(w for _, w in lo))
-                    return RegularityVerdict(
-                        False, mode, checked, base, (usub, vsub, dmin)
-                    )
-        return RegularityVerdict(True, mode, checked, base)
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    block = col.dense(colour).take(a, 0).take(b, 1)
-    (found,) = _sampled_gates([block], eps, trials, [seed])
-    if found is None:
-        return RegularityVerdict(True, mode, trials, base)
-    t, rows, cols, dens = found
-    usub = tuple(sorted(a[i] for i in rows))
-    vsub = tuple(sorted(b[i] for i in cols))
-    return RegularityVerdict(False, mode, t, base, (usub, vsub, dens))
 
 
 def _regular_subsets(col: Colouring, classes, eta: float, trials: int, seeds) -> list:

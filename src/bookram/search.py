@@ -122,13 +122,12 @@ def find_witness(
     n: int,
     size: int,
     budget: Budget | None = None,
-    symmetry: bool = True,
 ) -> WitnessResult:
     """Search for a colouring of K_size with no monochromatic B_n^(k).
 
-    With ``symmetry`` on, the first vertex's edge colours are forced to a
-    non-increasing pattern; any colouring can be relabelled into that form,
-    so exhaustion still proves nonexistence.
+    The first vertex's edge colours are forced to a non-increasing pattern;
+    any colouring can be relabelled into that form, so exhaustion still
+    proves nonexistence.
     """
     if k < 1 or n < 1:
         raise ValueError("spine size and page count must be at least 1")
@@ -141,10 +140,10 @@ def find_witness(
     m = len(edges)
     # colours[i] is the colour edge i holds while the search is past it;
     # slot m is a constant 1.  Edge i may take colour 1 only if
-    # colours[top[i]] is 1: with symmetry, edge (0, v) for v >= 2 (index
-    # v - 1) follows edge (0, v - 1), and every other edge reads slot m.
+    # colours[top[i]] is 1: edge (0, v) for v >= 2 (index v - 1) follows
+    # edge (0, v - 1), and every other edge reads slot m.
     colours = [0] * m + [1]
-    top = [i - 1 if symmetry and 1 <= i <= size - 2 else m for i in range(m)]
+    top = [i - 1 if 1 <= i <= size - 2 else m for i in range(m)]
     adj = ([0] * size, [0] * size)
     start = time.perf_counter()
     # the node cap is checked at every node and the clock every 1,024 nodes,

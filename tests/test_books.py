@@ -466,6 +466,12 @@ class TestHasMonoBook:
     def test_pentagon(self, pentagon):
         assert not has_mono_book(pentagon, 2, 1)
 
+    def test_spine_above_vertex_count(self, pentagon):
+        # no spine of more than n vertices fits K_n, even in one colour
+        for col in (all_one_colour(1), all_one_colour(4), pentagon):
+            for k in (col.n + 1, col.n + 2):
+                assert not has_mono_book(col, k, 1)
+
     def test_agrees_with_max_book_on_random_triples(self):
         rng = random.Random(17)
         for _ in range(200):

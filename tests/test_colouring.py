@@ -338,6 +338,12 @@ class TestCountMonoCliques:
     def test_k1_counts_every_vertex_per_colour(self, pentagon):
         assert count_mono_cliques(pentagon, 1) == (5, 5)
 
+    def test_clique_above_vertex_count(self, pentagon):
+        # all n vertices of an all-red K_n close no (n + 1)-clique
+        for col in (all_one_colour(1), all_one_colour(4), pentagon):
+            for k in (col.n + 1, col.n + 2):
+                assert count_mono_cliques(col, k) == (0, 0)
+
     @given(st.integers(0, 10_000), st.integers(2, 10))
     @settings(max_examples=30, deadline=None)
     def test_colour_partition(self, seed, n):

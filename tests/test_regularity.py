@@ -18,7 +18,6 @@ from bookram import regularity
 from bookram.regularity import (
     EquitablePartition,
     ReducedGraph,
-    RegularityVerdict,
     _find_blowup,
     _probe_draws,
     _regular_subsets,
@@ -27,10 +26,8 @@ from bookram.regularity import (
     _transversal_scan,
     balanced_swap_search,
     build_reduced,
-    eps_regular_check,
     extract_book,
     make_partition,
-    pair_density,
     transversal_best_spine,
 )
 
@@ -55,8 +52,26 @@ def matching_colouring(half: int) -> Colouring:
 # replaced, kept to pin the random draws and every float they produce.
 
 
+def pair_density(col, colour, a, b):
+    """Edge density of ``colour`` between vertex sets a and b.
+
+    Uses the ordered-pair convention e(A,B)/|A||B| throughout, so for a == b
+    both orientations of each internal edge are counted and the diagonal is
+    not.
+    """
+    a, b = tuple(a), tuple(b)
+    if not a or not b:
+        raise ValueError("density of an empty set is undefined")
+    mb = mask_of(b)
+    hits = sum((col.adj[colour][u] & mb).bit_count() for u in a)
+    return hits / (len(a) * len(b))
+
+
 def reference_sampled_check(col, colour, a, b, eps, trials, seed):
-    """Sampled eps_regular_check, one pair_density per trial."""
+    """The first of ``trials`` random probe pairs of (a, b) whose density
+    deviates from the pair's by more than eps, as (its trial number from 1,
+    its sorted vertices of a, of b, its density), or None when no trial
+    does; one pair_density per trial."""
     a, b = tuple(a), tuple(b)
     base = pair_density(col, colour, a, b)
     qa = max(1, math.ceil(eps * len(a) - 1e-9))
@@ -69,8 +84,25 @@ def reference_sampled_check(col, colour, a, b, eps, trials, seed):
         vsub = tuple(sorted(b[i] for i in rng.choice(len(b), sv, replace=False)))
         d = pair_density(col, colour, usub, vsub)
         if abs(d - base) > eps + 1e-12:
-            return RegularityVerdict(False, "sampled", trial + 1, base, (usub, vsub, d))
-    return RegularityVerdict(True, "sampled", trials, base)
+            return trial + 1, usub, vsub, d
+    return None
+
+
+def vertex_witness(found, a, b):
+    """A gate's result from _sampled_gates with its row and column positions
+    mapped to sorted vertices of a and b, as reference_sampled_check gives
+    it."""
+    if found is None:
+        return None
+    trial, rows, cols, dens = found
+    return trial, tuple(sorted(a[i] for i in rows)), tuple(sorted(b[i] for i in cols)), dens
+
+
+def sampled_check(col, colour, a, b, eps, trials, seed=0):
+    """_sampled_gates on the a x b block of one colour alone."""
+    a, b = tuple(a), tuple(b)
+    block = col.dense(colour).take(a, 0).take(b, 1)
+    return vertex_witness(_sampled_gates([block], eps, trials, [seed])[0], a, b)
 
 
 def reference_loopless_density(col, colour, a, b):
@@ -200,60 +232,16 @@ class TestPairDensity:
 
 
 class TestEpsRegularCheck:
-    def test_complete_bipartite_regular(self):
-        col = all_one_colour(12)
-        verdict = eps_regular_check(col, 0, range(6), range(6, 12), 0.1)
-        assert verdict.regular and verdict.base_density == 1.0
-
-    def test_matching_irregular_with_witness(self):
-        col = matching_colouring(10)
-        a, b = tuple(range(10)), tuple(range(10, 20))
-        verdict = eps_regular_check(col, 0, a, b, 0.2)
-        assert not verdict.regular
-        usub, vsub, dens = verdict.witness
-        # the witness really violates the bound
-        assert abs(pair_density(col, 0, usub, vsub) - verdict.base_density) > 0.2
-        assert dens == pytest.approx(pair_density(col, 0, usub, vsub))
-        assert len(usub) >= math.ceil(0.2 * len(a))
-        assert len(vsub) >= math.ceil(0.2 * len(b))
-
-    def test_exhaustive_agrees_with_subset_bruteforce(self):
-        col = random_small(8, 5)
-        a, b = (0, 1, 2, 3), (4, 5, 6, 7)
-        for eps in (0.3, 0.5):
-            verdict = eps_regular_check(col, 0, a, b, eps)
-            base = pair_density(col, 0, a, b)
-            qa = max(1, math.ceil(eps * len(a) - 1e-9))
-            brute_regular = True
-            for su in range(qa, 5):
-                for usub in itertools.combinations(a, su):
-                    for sv in range(qa, 5):
-                        for vsub in itertools.combinations(b, sv):
-                            if abs(pair_density(col, 0, usub, vsub) - base) > eps + 1e-12:
-                                brute_regular = False
-            assert verdict.regular == brute_regular
-
-    def test_matching_deviation_boundary(self):
-        # the half-matching pair's worst deviation is exactly 7/30: aligned
-        # 3-subsets reach density 1/3 against a base of 0.1
-        col = matching_colouring(10)
-        a, b = tuple(range(10)), tuple(range(10, 20))
-        assert not eps_regular_check(col, 0, a, b, 0.23).regular
-        assert eps_regular_check(col, 0, a, b, 0.24).regular
+    """The sampled eps-regularity check of one pair: _sampled_gates on its
+    block against the per-trial oracle."""
 
     def test_sampled_finds_matching_violation(self):
         col = matching_colouring(10)
-        verdict = eps_regular_check(
-            col, 0, range(10), range(10, 20), 0.2, mode="sampled", trials=10_000, seed=4
-        )
-        assert not verdict.regular
-        usub, vsub, dens = verdict.witness
-        assert abs(dens - verdict.base_density) > 0.2
-
-    def test_exhaustive_size_cap(self):
-        col = all_one_colour(40)
-        with pytest.raises(ValueError):
-            eps_regular_check(col, 0, range(20), range(20, 40), 0.1)
+        a, b = range(10), range(10, 20)
+        got = sampled_check(col, RED, a, b, 0.2, 10_000, seed=4)
+        assert got is not None
+        *_, dens = got
+        assert abs(dens - pair_density(col, RED, a, b)) > 0.2
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -267,26 +255,42 @@ class TestEpsRegularCheck:
         eps = data.draw(st.floats(0.01, 0.6))
         trials = data.draw(st.integers(1, 300))
         seed = data.draw(st.one_of(st.integers(0, 2**32), st.lists(st.integers(0, 9999), max_size=4)))
-        got = eps_regular_check(col, colour, a, b, eps, mode="sampled", trials=trials, seed=seed)
+        got = sampled_check(col, colour, a, b, eps, trials, seed)
         want = reference_sampled_check(col, colour, a, b, eps, trials, seed)
         # repr also pins the Python types of the witness
         assert repr(got) == repr(want)
 
-    def test_sampled_stops_after_the_violating_chunk(self, monkeypatch):
-        # a long run of trials is decoded a chunk at a time, and nothing
-        # after the chunk that holds the first violation
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        """The trial counts of the _decode_probes calls, in order."""
         counts = []
         original = regularity._decode_probes
         monkeypatch.setattr(
             regularity, "_decode_probes", lambda *args: counts.append(args[1]) or original(*args)
         )
+        return counts
+
+    def test_sampled_decodes_long_runs_in_one_call(self, decoded):
+        # 2,000 trials of a 16 by 16 block fit one call of _CELL_CAP cells,
+        # whether a trial fails or none does
         col = matching_colouring(16)
-        got = eps_regular_check(col, RED, range(16), range(16, 32), 0.05, mode="sampled", trials=2000)
-        assert not got.regular and got.trials <= regularity._PROBE_CHUNK
-        assert counts == [regularity._PROBE_CHUNK]
-        counts.clear()
-        got = eps_regular_check(col, RED, range(16), range(16, 32), 0.9, mode="sampled", trials=2000)
-        assert got.regular and sum(counts) == 2000 and max(counts) == regularity._PROBE_CHUNK
+        a, b = range(16), range(16, 32)
+        assert sampled_check(col, RED, a, b, 0.1, 2000, seed=1)[0] == 218
+        assert sampled_check(col, RED, a, b, 0.9, 2000, seed=1) is None
+        assert decoded == [2000, 2000]
+
+    def test_sampled_stops_after_the_violating_chunk(self, decoded, monkeypatch):
+        # a cap of 100 trials of this block splits the run into chunks, and
+        # nothing after the chunk that holds the first violation is decoded
+        monkeypatch.setattr(regularity, "_CELL_CAP", 2 * 16 * 100)
+        col = matching_colouring(16)
+        a, b = range(16), range(16, 32)
+        got = sampled_check(col, RED, a, b, 0.1, 2000, seed=1)
+        assert repr(got) == repr(reference_sampled_check(col, RED, a, b, 0.1, 2000, 1))
+        assert got[0] == 218 and decoded == [100] * 3
+        decoded.clear()
+        assert sampled_check(col, RED, a, b, 0.9, 2000, seed=1) is None
+        assert decoded == [100] * 20
 
     def test_sampled_matches_reference_on_irregular_pairs(self):
         # the matching and two-block pairs fail in some trial, so the
@@ -299,12 +303,10 @@ class TestEpsRegularCheck:
             for colour in (RED, BLUE):
                 for eps in (0.05, 0.1, 0.2):
                     for seed in range(5):
-                        got = eps_regular_check(
-                            col, colour, a, b, eps, mode="sampled", trials=200, seed=seed
-                        )
+                        got = sampled_check(col, colour, a, b, eps, 200, seed)
                         want = reference_sampled_check(col, colour, a, b, eps, 200, seed)
                         assert repr(got) == repr(want)
-                        irregular += not got.regular
+                        irregular += got is not None
         assert irregular >= 30
 
 
@@ -467,7 +469,7 @@ class TestProbeDraws:
         col = random_colouring(64, 5)
         a, b = range(32), range(32, 64)
         for colour in (RED, BLUE):
-            got = eps_regular_check(col, colour, a, b, 0.3, mode="sampled", trials=120, seed=seed)
+            got = sampled_check(col, colour, a, b, 0.3, 120, seed)
             want = reference_sampled_check(col, colour, a, b, 0.3, 120, seed)
             assert repr(got) == repr(want)
         assert len(loop_chunks) == 4
@@ -528,7 +530,7 @@ class TestProbeDraws:
             assert batched_probes(starts, 150, qa, na, qb, nb) == want
             col = random_colouring(64, 5)
             a, b = range(32), range(32, 64)
-            got = eps_regular_check(col, RED, a, b, 0.3, mode="sampled", trials=150, seed=starts[0])
+            got = sampled_check(col, RED, a, b, 0.3, 150, starts[0])
             assert repr(got) == repr(reference_sampled_check(col, RED, a, b, 0.3, 150, starts[0]))
 
     def test_rejected_gate_falls_back_alone(self, loop_chunks):
@@ -549,14 +551,7 @@ class TestProbeDraws:
         assert loop_chunks == [(120, 10, 32, 10, 32)]
         for (a, b, seed), got in zip(gates, found):
             want = reference_sampled_check(col, RED, a, b, 0.3, 120, seed)
-            if got is None:
-                assert want.regular
-                continue
-            trial, rows, cols, dens = got
-            usub = tuple(sorted(a[i] for i in rows))
-            vsub = tuple(sorted(b[i] for i in cols))
-            assert not want.regular
-            assert repr((trial, (usub, vsub, dens))) == repr((want.trials, want.witness))
+            assert repr(vertex_witness(got, a, b)) == repr(want)
 
     def test_wide_generator_falls_back_alone(self, loop_chunks):
         # a side above 10,000 among narrow generators of one batch: only the
@@ -574,11 +569,11 @@ class TestProbeDraws:
         with pytest.raises(ValueError):
             reference_sampled_check(col, RED, a, b, 1.5, 10, 0)
         with pytest.raises(ValueError):
-            eps_regular_check(col, RED, a, b, 1.5, mode="sampled", trials=10)
+            sampled_check(col, RED, a, b, 1.5, 10)
         with pytest.raises(ValueError):
             _self_regularity_score(red_matrix(col, tuple(a)), 1.5, np.random.default_rng(0))
         # no trial draws nothing, so nothing is raised
-        got = eps_regular_check(col, RED, a, b, 1.5, mode="sampled", trials=0)
+        got = sampled_check(col, RED, a, b, 1.5, 0)
         assert repr(got) == repr(reference_sampled_check(col, RED, a, b, 1.5, 0, 0))
 
 
@@ -662,7 +657,7 @@ class TestMakePartition:
 
 def per_gate_reduced(col, part, eta, delta, trials=120, seed=0):
     """(edge colours, deleted) of build_reduced from pair_density and one
-    eps_regular_check call per gate, in edge order, gate by gate."""
+    reference_sampled_check call per gate, in edge order, gate by gate."""
     m = part.m
     classes, subsets = part.classes, part.subsets
     states = [[None] * m for _ in range(m)]
@@ -681,9 +676,7 @@ def per_gate_reduced(col, part, eta, delta, trials=120, seed=0):
                 (subsets[i], subsets[j]),
             )
             if all(
-                eps_regular_check(
-                    col, RED, x, y, eta, mode="sampled", trials=trials, seed=[seed, 7919, i, j, idx]
-                ).regular
+                reference_sampled_check(col, RED, x, y, eta, trials, [seed, 7919, i, j, idx]) is None
                 for idx, (x, y) in enumerate(pairs)
             ):
                 states[i][j] = states[j][i] = RED if d_vv >= 1.0 - delta - 1e-12 else BLUE

@@ -58,12 +58,15 @@ class TestFindWitness:
         assert res.status == INCONCLUSIVE and res.colouring is None
         assert res.nodes == 1024
 
-    def test_symmetry_off_agrees(self):
-        for k, n in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            for size in range(2, 7):
-                on = find_witness(k, n, size, symmetry=True)
-                off = find_witness(k, n, size, symmetry=False)
-                assert on.status == off.status, (k, n, size)
+    def test_witness_exists_below_known_ramsey_numbers(self):
+        # a symmetry rule that cut too much would lose the witnesses just
+        # below r(B_n^(k)): r(B_n^(1)) = 2n - 1 + (n mod 2), r(B_1^(2)) = 6
+        # and r(B_2^(2)) = 10, each run up to size r + 1 or 7
+        cases = [(1, n, 2 * n - 1 + n % 2) for n in (1, 2, 3)] + [(2, 1, 6), (2, 2, 10)]
+        for k, n, ramsey in cases:
+            for size in range(2, min(ramsey + 1, 7) + 1):
+                found = find_witness(k, n, size).status == FOUND
+                assert found == (size < ramsey), (k, n, size)
 
     def test_monotone_no_witness_beyond_threshold(self):
         # consistency check, never assumed by the search itself
