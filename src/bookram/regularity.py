@@ -26,7 +26,6 @@ from .colouring import (
     RED,
     BookCertificate,
     Colouring,
-    _pack_rows,
     bits,
     clique_pages,
     mask_of,
@@ -36,10 +35,12 @@ _FUZZ = 1e-12
 # Generator.choice(n, s, replace=False) runs Floyd's algorithm up to this
 # population and may shuffle a tail instead above it
 _FLOYD_LIMIT = 10_000
-# probe rows times row width that one decoding call holds: a call keeps about
-# two raw outputs (int64) and a float mark per cell, so this bounds it to a
-# few megabytes, and a gate stage of 28 gates of 32 by 32 vertices with 120
-# trials (the criterion-7 mix's largest) still fits in one call
+# probe rows times row width that one decoding call of several seeds holds:
+# a call keeps about two raw outputs (int64) and a float mark per cell, so
+# this bounds it to a few megabytes, and a gate stage of 28 gates of 32 by 32
+# vertices with 120 trials (the criterion-7 mix's largest) still fits in one
+# call.  A single seed is one call whatever its size; its arrays stay near
+# the float64 copy of its block that _stacked_hits builds
 _CELL_CAP = 1 << 18
 # trials of each sampled regularity gate of the reduced graph
 _GATE_TRIALS = 120
@@ -60,23 +61,24 @@ def _probe_floor(eps: float, size: int) -> int:
     return max(1, math.ceil(eps * size - 1e-9))
 
 
-def _probe_draws(rngs, trials: int, qa, na, qb, nb):
-    """Yield ``trials`` random probes from each generator g in ``rngs``, g
-    drawing subsets of at least qa[g] of na[g] and qb[g] of nb[g] positions
-    (scalars apply to every generator).
+def _probe_draws(seeds, trials: int, qa, na, qb, nb):
+    """Yield ``trials`` random probes from a fresh generator of each seed in
+    ``seeds`` (anything ``np.random.default_rng`` takes), seed g drawing
+    subsets of at least qa[g] of na[g] and qb[g] of nb[g] positions (scalars
+    apply to every seed).
 
-    Probe t of g is what ``su = g.integers(qa, na + 1)``,
-    ``sv = g.integers(qb, nb + 1)``, ``g.choice(na, su, replace=False)`` and
-    ``g.choice(nb, sv, replace=False)`` return, in that order.  A batch is
-    (first, done, su, sv, rows_a, rows_b) for generators first, first + 1, ...
-    and their trials done, done + 1, ...: su and sv have one row per
-    generator and one column per trial, rows_a and rows_b one float 0/1 mark
-    row per probe, padded to the widest set of the batch.  Batches stay
-    within _CELL_CAP cells; each generator is left where the calls leave
-    it.  A generator with a side above _FLOYD_LIMIT forms a batch of its
-    own, drawn by the calls themselves.
+    Probe t of seed g is what round t of ``su = rng.integers(qa, na + 1)``,
+    ``sv = rng.integers(qb, nb + 1)``, ``rng.choice(na, su, replace=False)``
+    and ``rng.choice(nb, sv, replace=False)`` returns, in that order, for
+    ``rng = np.random.default_rng(seeds[g])``.  A batch is
+    (first, su, sv, rows_a, rows_b) for seeds first, first + 1, ...: su and
+    sv have one row per seed and one column per trial, rows_a and rows_b one
+    float 0/1 mark row per probe, padded to the widest set of the batch.
+    Batches of several seeds stay within _CELL_CAP cells.  A seed with a
+    side above _FLOYD_LIMIT forms a batch of its own, drawn by the calls
+    themselves.
     """
-    streams = len(rngs)
+    streams = len(seeds)
     qa, na, qb, nb = (
         np.broadcast_to(np.asarray(x, dtype=np.int64), (streams,)) for x in (qa, na, qb, nb)
     )
@@ -94,23 +96,20 @@ def _probe_draws(rngs, trials: int, qa, na, qb, nb):
         ):
             wide = max(wide, width[hi])
             hi += 1
-        # a single generator above the cap takes fewer trials a call
-        step = max(1, min(trials, _CELL_CAP // (2 * wide * (hi - lo))))
-        part = slice(lo, hi)
-        for done in range(0, trials, step):
-            count = min(step, trials - done)
-            if wide > _FLOYD_LIMIT:
-                sizes = (int(x[lo]) for x in (qa, na, qb, nb))
-                probes = tuple(x[None] for x in _probe_loop(rngs[lo], count, *sizes))
-            else:
-                probes = _decode_probes(rngs[part], count, qa[part], na[part], qb[part], nb[part])
-            yield (lo, done) + probes
+        if wide > _FLOYD_LIMIT:
+            sizes = (int(x[lo]) for x in (qa, na, qb, nb))
+            probes = tuple(x[None] for x in _probe_loop(seeds[lo], trials, *sizes))
+        else:
+            part = slice(lo, hi)
+            probes = _decode_probes(seeds[part], trials, qa[part], na[part], qb[part], nb[part])
+        yield (lo,) + probes
         lo = hi
 
 
-def _probe_loop(rng, count: int, qa: int, na: int, qb: int, nb: int):
-    """One generator's ``count`` probes of _probe_draws, from the Generator
-    calls themselves."""
+def _probe_loop(seed, count: int, qa: int, na: int, qb: int, nb: int):
+    """One seed's ``count`` probes of _probe_draws, from the Generator calls
+    themselves."""
+    rng = np.random.default_rng(seed)
     sizes = np.empty((2, count), dtype=np.int64)
     rows_a = np.zeros((count, na))
     rows_b = np.zeros((count, nb))
@@ -123,67 +122,43 @@ def _probe_loop(rng, count: int, qa: int, na: int, qb: int, nb: int):
     return sizes[0], sizes[1], rows_a, rows_b
 
 
-def _decode_probes(rngs, count: int, qa, na, qb, nb):
-    """(su, sv, rows_a, rows_b) of ``count`` probes from each generator, as
+def _decode_probes(seeds, count: int, qa, na, qb, nb):
+    """(su, sv, rows_a, rows_b) of ``count`` probes from each seed, as
     _probe_draws gives them, decoded from the raw 32-bit outputs the calls
-    read; every side is at most _FLOYD_LIMIT.  A generator whose draws
-    include one that numpy rejects is drawn by the calls themselves instead.
+    read; every side is at most _FLOYD_LIMIT.  A seed whose draws include one
+    that numpy rejects is drawn by the calls themselves instead.
 
     A draw on [0, 0] reads nothing.  ``choice(n, s, replace=False)`` runs
     Floyd's algorithm: for j = n - s .. n - 1 it draws on [0, j] and takes
     the value unless it is already taken, then j.  It then shuffles with one
     draw on [0, i] for each i = s - 1 .. 1, which leaves the set as it is.
     """
-    starts = [g.bit_generator.state for g in rngs]
-    raw, base, drawn = _raw_outputs(rngs, starts, count * (2 + 2 * (na + nb)))
-    probes, ends, rejected = _decode_outputs(raw, base, count, qa, na, qb, nb)
-    for g, rng in enumerate(rngs):
-        if not rejected[g]:
-            _leave_at(rng, starts[g], raw, int(base[g]), drawn[g], int(ends[g]))
-            continue
-        rng.bit_generator.state = starts[g]
+    raw, base = _raw_outputs(seeds, count * (2 + 2 * (na + nb)))
+    probes, rejected = _decode_outputs(raw, base, count, qa, na, qb, nb)
+    for g in np.flatnonzero(rejected).tolist():
         a, b = int(na[g]), int(nb[g])
-        su, sv, rows_a, rows_b = _probe_loop(rng, count, int(qa[g]), a, int(qb[g]), b)
+        su, sv, rows_a, rows_b = _probe_loop(seeds[g], count, int(qa[g]), a, int(qb[g]), b)
         probes[0][g], probes[1][g], probes[2][g, :, :a], probes[3][g, :, :b] = su, sv, rows_a, rows_b
     return probes
 
 
-def _raw_outputs(gens, starts, words):
-    """At least words[g] of each generator's next 32-bit outputs, as int64
-    in one array, where each generator's run begins, and how many 64-bit
-    outputs each drew.  A PCG64 output gives its low half first and keeps
-    the high half for the next read (``has_uint32``, ``uinteger``); each run
-    sits behind one padding output whose high half is that kept value."""
+def _raw_outputs(seeds, words):
+    """At least words[g] of the first 32-bit outputs of a fresh generator of
+    each seed, as int64 in one array, and where each seed's run begins.  A
+    PCG64 output gives its low half first, then its high half."""
     drawn = [(need + 1) // 2 for need in words.tolist()]
-    pad = np.cumsum([0] + [2 + 2 * d for d in drawn])
-    raw = np.empty(pad[-1], dtype=np.int64)
-    for g, state, d, at in zip(gens, starts, drawn, pad.tolist()):
-        raw[at], raw[at + 1] = 0, state["uinteger"]
-        out = g.bit_generator.random_raw(d).astype("<u8", copy=False)
-        raw[at + 2 : at + 2 + 2 * d] = out.view("<u4")
-    pending = np.array([state["has_uint32"] for state in starts])
-    return raw, pad[:-1] + 2 - pending, drawn
-
-
-def _leave_at(gen, start, raw, base: int, drawn: int, end: int):
-    """Move a generator that drew ``drawn`` outputs for a run beginning at
-    ``base`` in ``raw`` to where reading that run up to ``end`` leaves it."""
-    # 32-bit outputs read past the kept half: an odd count keeps a high half
-    fresh = end - base - start["has_uint32"]
-    used = (fresh + 1) // 2
-    bg = gen.bit_generator
-    bg.advance(used - drawn)
-    state = bg.state
-    state["has_uint32"] = fresh & 1
-    # numpy keeps the high half of the last output drawn, or the old value
-    state["uinteger"] = int(raw[base + start["has_uint32"] + 2 * used - 1])
-    bg.state = state
+    at = np.cumsum([0] + [2 * d for d in drawn])
+    raw = np.empty(at[-1], dtype=np.int64)
+    for seed, d, lo in zip(seeds, drawn, at.tolist()):
+        out = np.random.default_rng(seed).bit_generator.random_raw(d).astype("<u8", copy=False)
+        raw[lo : lo + 2 * d] = out.view("<u4")
+    return raw, at[:-1]
 
 
 def _decode_outputs(raw, base, count: int, qa, na, qb, nb):
-    """The probes of _decode_probes for generators whose 32-bit outputs
-    begin at ``base`` in ``raw``: ((su, sv, rows_a, rows_b), where each
-    generator's reads end, which generators hit a rejected draw)."""
+    """The probes of _decode_probes for seeds whose 32-bit outputs begin at
+    ``base`` in ``raw``: ((su, sv, rows_a, rows_b), which seeds hit a
+    rejected draw)."""
     streams = len(base)
     da, db = (na > qa).astype(np.int64), (nb > qb).astype(np.int64)
     span = np.stack([na - qa + 1, nb - qb + 1])
@@ -228,7 +203,7 @@ def _decode_outputs(raw, base, count: int, qa, na, qb, nb):
     marks = marks.reshape(2, streams, count, -1)
     rows_a = marks[0, :, :, : na.max()].astype(np.float64)
     rows_b = marks[1, :, :, : nb.max()].astype(np.float64)
-    return (su, sv, rows_a, rows_b), heads[count], rejected
+    return (su, sv, rows_a, rows_b), rejected
 
 
 def _floyd_marks(raw, n, s, at):
@@ -278,7 +253,7 @@ def _stacked_hits(blocks, rows_a, rows_b) -> np.ndarray:
 
 
 def _sampled_gates(blocks, eps: float, trials: int, seeds) -> list:
-    """Sampled regularity of each 0/1 block, its probes drawn from a
+    """Sampled regularity of each 0/1 block, its probes drawn from a fresh
     generator of its own seed: the first probe whose density deviates from
     the block's by more than eps, as (its trial number from 1, its row and
     column positions, its density), or None when no trial does."""
@@ -286,23 +261,19 @@ def _sampled_gates(blocks, eps: float, trials: int, seeds) -> list:
     nb = [b.shape[1] for b in blocks]
     qa = [_probe_floor(eps, n) for n in na]
     qb = [_probe_floor(eps, n) for n in nb]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
     base = np.array([int(b.sum()) / b.size for b in blocks])
     found = [None] * len(blocks)
-    for lo, done, su, sv, rows_a, rows_b in _probe_draws(rngs, trials, qa, na, qb, nb):
+    for lo, su, sv, rows_a, rows_b in _probe_draws(seeds, trials, qa, na, qb, nb):
         dens = _stacked_hits(blocks[lo : lo + len(su)], rows_a, rows_b) / (su * sv)
         out = np.abs(dens - base[lo : lo + len(su), None]) > eps + _FUZZ
         for g in np.flatnonzero(out.any(1)).tolist():
-            if found[lo + g] is None:
-                t = int(out[g].argmax())
-                found[lo + g] = (
-                    done + t + 1,
-                    np.flatnonzero(rows_a[g, t]),
-                    np.flatnonzero(rows_b[g, t]),
-                    float(dens[g, t]),
-                )
-        if None not in found:
-            break
+            t = int(out[g].argmax())
+            found[lo + g] = (
+                t + 1,
+                np.flatnonzero(rows_a[g, t]),
+                np.flatnonzero(rows_b[g, t]),
+                float(dens[g, t]),
+            )
     return found
 
 
@@ -313,7 +284,7 @@ def _regular_subsets(col: Colouring, classes, eta: float, trials: int, seeds) ->
     self-regularity score; a class below three vertices is its own pick.
     The candidates of every class are scored in one batch."""
     red = col.dense(RED)
-    plans, blocks, rngs = [], [], []
+    plans, blocks, probe_seeds = [], [], []
     for verts, seed in zip(classes, seeds):
         size = max(2, (len(verts) + 1) // 2)
         if size >= len(verts):
@@ -321,15 +292,15 @@ def _regular_subsets(col: Colouring, classes, eta: float, trials: int, seeds) ->
             continue
         rng = np.random.default_rng(seed)
         # candidates as sorted positions into verts (so their vertices are
-        # sorted too), each scored with its own generator; the class itself
+        # sorted too), each scored with its own seed; the class itself
         # comes last
         cands = [np.sort(rng.choice(len(verts), size, replace=False)) for _ in range(trials)]
         cands.append(np.arange(len(verts)))
         inside = red.take(verts, 0).take(verts, 1)
         blocks += [inside.take(pos, 0).take(pos, 1) for pos in cands]
-        rngs += [np.random.default_rng([*seed, 101, ci]) for ci in range(trials + 1)]
+        probe_seeds += [[*seed, 101, ci] for ci in range(trials + 1)]
         plans.append((verts, cands))
-    scores = iter(_self_regularity_scores(blocks, eta, rngs))
+    scores = iter(_self_regularity_scores(blocks, eta, probe_seeds))
     picks = []
     for verts, cands in plans:
         if cands is None:
@@ -343,18 +314,19 @@ def _regular_subsets(col: Colouring, classes, eta: float, trials: int, seeds) ->
     return picks
 
 
-def _self_regularity_scores(blocks, eta, rngs) -> list[float]:
+def _self_regularity_scores(blocks, eta, seeds) -> list[float]:
     """For each square red 0/1 block, the max sampled deviation
-    |d(U', V') - d(W, W)| over _SELF_PROBES random probe pairs drawn from its
-    own generator in ``rngs``.  Densities are loopless: they count only ordered
-    pairs of distinct vertices, so a complete graph scores exactly 1 at any
-    size.  Lower is better; probes with no such pair are skipped."""
+    |d(U', V') - d(W, W)| over _SELF_PROBES random probe pairs drawn from a
+    fresh generator of its own seed in ``seeds``.  Densities are loopless:
+    they count only ordered pairs of distinct vertices, so a complete graph
+    scores exactly 1 at any size.  Lower is better; probes with no such pair
+    are skipped."""
     n = [len(b) for b in blocks]
     q = [_probe_floor(eta, size) for size in n]
     # below two vertices no probe has a pair, so the base is never read
     base = np.array([int(b.sum()) / max(size * size - size, 1) for b, size in zip(blocks, n)])
     worst = np.zeros(len(blocks))
-    for lo, _, su, sv, rows_u, rows_v in _probe_draws(rngs, _SELF_PROBES, q, n, q, n):
+    for lo, su, sv, rows_u, rows_v in _probe_draws(seeds, _SELF_PROBES, q, n, q, n):
         part = slice(lo, lo + len(su))
         hits = _stacked_hits(blocks[part], rows_u, rows_v)
         pairs = su * sv - (rows_u * rows_v).sum(2)
@@ -585,16 +557,13 @@ def build_reduced(
     passed |= passed.T
     states = np.where(passed, np.where(d_vv >= 1.0 - delta - _FUZZ, RED, BLUE), None)
 
-    # max keeps the first of equal degrees, so ties go to the lowest index
-    coloured = _pack_rows(passed)
-    threshold = math.sqrt(eta) * m
-    keep = (1 << m) - 1
-
-    def uncoloured(i: int) -> int:
-        return (keep & ~coloured[i] & ~(1 << i)).bit_count()
-
-    while keep and uncoloured(worst := max(bits(keep), key=uncoloured)) > threshold + _FUZZ:
-        keep ^= 1 << worst
+    # argmax keeps the first of equal degrees, so ties go to the lowest
+    # index; a deleted class scores -1 and is never picked again
+    uncoloured = ~passed & ~np.eye(m, dtype=bool)
+    limit = math.sqrt(eta) * m + _FUZZ
+    kept = np.ones(m, dtype=bool)
+    while (degree := np.where(kept, (uncoloured & kept).sum(1), -1)).max(initial=-1) > limit:
+        kept[degree.argmax()] = False
 
     return ReducedGraph(
         partition=partition,
@@ -605,7 +574,7 @@ def build_reduced(
         d_vv=tuple(map(tuple, d_vv.tolist())),
         d_wv=tuple(map(tuple, d_wv.tolist())),
         d_ww=tuple(map(tuple, d_ww.tolist())),
-        deleted=frozenset(bits(((1 << m) - 1) ^ keep)),
+        deleted=frozenset(np.flatnonzero(~kept).tolist()),
     )
 
 

@@ -178,9 +178,10 @@ def reference_swap_search(col, m, seed, steps):
     return classes, initial, total
 
 
-def _self_regularity_score(block, eta, rng):
-    """The self-regularity score of one square block, drawn from ``rng``."""
-    return _self_regularity_scores([block], eta, [rng])[0]
+def _self_regularity_score(block, eta, seed):
+    """The self-regularity score of one square block, drawn from a fresh
+    generator of ``seed``."""
+    return _self_regularity_scores([block], eta, [seed])[0]
 
 
 def red_matrix(col, verts):
@@ -231,6 +232,17 @@ class TestPairDensity:
             pair_density(all_one_colour(3), 0, (), (1,))
 
 
+@pytest.fixture
+def decoded(monkeypatch):
+    """The trial counts of the _decode_probes calls, in order."""
+    counts = []
+    original = regularity._decode_probes
+    monkeypatch.setattr(
+        regularity, "_decode_probes", lambda *args: counts.append(args[1]) or original(*args)
+    )
+    return counts
+
+
 class TestEpsRegularCheck:
     """The sampled eps-regularity check of one pair: _sampled_gates on its
     block against the per-trial oracle."""
@@ -260,16 +272,6 @@ class TestEpsRegularCheck:
         # repr also pins the Python types of the witness
         assert repr(got) == repr(want)
 
-    @pytest.fixture
-    def decoded(self, monkeypatch):
-        """The trial counts of the _decode_probes calls, in order."""
-        counts = []
-        original = regularity._decode_probes
-        monkeypatch.setattr(
-            regularity, "_decode_probes", lambda *args: counts.append(args[1]) or original(*args)
-        )
-        return counts
-
     def test_sampled_decodes_long_runs_in_one_call(self, decoded):
         # 2,000 trials of a 16 by 16 block fit one call of _CELL_CAP cells,
         # whether a trial fails or none does
@@ -279,18 +281,18 @@ class TestEpsRegularCheck:
         assert sampled_check(col, RED, a, b, 0.9, 2000, seed=1) is None
         assert decoded == [2000, 2000]
 
-    def test_sampled_stops_after_the_violating_chunk(self, decoded, monkeypatch):
-        # a cap of 100 trials of this block splits the run into chunks, and
-        # nothing after the chunk that holds the first violation is decoded
+    def test_sampled_gate_above_the_cap_is_one_call(self, decoded, monkeypatch):
+        # a cap of 100 trials of this block does not split one gate's run:
+        # all 2,000 trials are decoded in one call, with the reference verdict
         monkeypatch.setattr(regularity, "_CELL_CAP", 2 * 16 * 100)
         col = matching_colouring(16)
         a, b = range(16), range(16, 32)
         got = sampled_check(col, RED, a, b, 0.1, 2000, seed=1)
         assert repr(got) == repr(reference_sampled_check(col, RED, a, b, 0.1, 2000, 1))
-        assert got[0] == 218 and decoded == [100] * 3
+        assert got[0] == 218 and decoded == [2000]
         decoded.clear()
         assert sampled_check(col, RED, a, b, 0.9, 2000, seed=1) is None
-        assert decoded == [100] * 20
+        assert decoded == [2000]
 
     def test_sampled_matches_reference_on_irregular_pairs(self):
         # the matching and two-block pairs fail in some trial, so the
@@ -355,12 +357,9 @@ class TestPickRegularSubset:
         )
         eta = data.draw(st.floats(0.01, 0.6))
         seed = data.draw(st.integers(0, 2**32))
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _self_regularity_score(red_matrix(col, verts), eta, got_rng)
-        want = reference_self_score(col, verts, eta, want_rng)
+        got = _self_regularity_score(red_matrix(col, verts), eta, seed)
+        want = reference_self_score(col, verts, eta, np.random.default_rng(seed))
         assert repr(got) == repr(want)
-        # the same draws were consumed
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -390,19 +389,10 @@ class TestPickRegularSubset:
         assert _regular_subsets(col, [ordered], eta, trials, [[seed]]) == [best[1]]
 
 
-def generator_at(start):
-    """A fresh Generator from a seed, or at a bit-generator state."""
-    if isinstance(start, dict):
-        rng = np.random.default_rng()
-        rng.bit_generator.state = start
-        return rng
-    return np.random.default_rng(start)
-
-
-def loop_probes(start, trials, qa, na, qb, nb):
-    """Per-trial Generator calls: (su, sv, sorted positions, sorted positions)
-    per probe, and the generator state after them."""
-    rng = generator_at(start)
+def loop_probes(seed, trials, qa, na, qb, nb):
+    """Per-trial calls of a fresh Generator of ``seed``: (su, sv, sorted
+    positions, sorted positions) per probe."""
+    rng = np.random.default_rng(seed)
     probes = []
     for _ in range(trials):
         su = int(rng.integers(qa, na + 1))
@@ -410,20 +400,19 @@ def loop_probes(start, trials, qa, na, qb, nb):
         ia = sorted(int(i) for i in rng.choice(na, su, replace=False))
         ib = sorted(int(i) for i in rng.choice(nb, sv, replace=False))
         probes.append((su, sv, ia, ib))
-    return probes, rng.bit_generator.state
+    return probes
 
 
-def batched_probes(starts, trials, qa, na, qb, nb):
-    """_probe_draws over one generator per start: what loop_probes gives for
-    each start, in order."""
-    rngs = [generator_at(start) for start in starts]
-    probes = [[] for _ in rngs]
-    for first, _, su, sv, rows_a, rows_b in _probe_draws(rngs, trials, qa, na, qb, nb):
+def batched_probes(seeds, trials, qa, na, qb, nb):
+    """_probe_draws over ``seeds``: what loop_probes gives for each seed, in
+    order."""
+    probes = [[] for _ in seeds]
+    for first, su, sv, rows_a, rows_b in _probe_draws(seeds, trials, qa, na, qb, nb):
         for g, t in np.ndindex(su.shape):
             ia = np.flatnonzero(rows_a[g, t]).tolist()
             ib = np.flatnonzero(rows_b[g, t]).tolist()
             probes[first + g].append((int(su[g, t]), int(sv[g, t]), ia, ib))
-    return [(got, rng.bit_generator.state) for got, rng in zip(probes, rngs)]
+    return probes
 
 
 @pytest.fixture
@@ -444,7 +433,7 @@ class TestProbeDraws:
     @given(st.data())
     @settings(max_examples=120, deadline=None)
     def test_matches_generator_calls(self, data):
-        # up to 300 trials, so several chunks and the state between them
+        # up to 300 trials of up to three seeds, in one batch
         na = data.draw(st.integers(1, 70))
         nb = data.draw(st.integers(1, 70))
         qa = data.draw(st.integers(1, na))
@@ -482,12 +471,13 @@ class TestProbeDraws:
         assert loop_chunks == [(100, 1, 70, 1, 70)]
 
     def test_rejected_size_draw(self, loop_chunks):
-        # a state whose next raw output is 0, which a draw on [0, 64] rejects
-        # (0 < 2**32 mod 65); first the a-side size reads it, then the b-side
-        state = np.random.default_rng(3).bit_generator.state
-        state["has_uint32"], state["uinteger"] = 1, 0
-        for sizes in ((1, 65, 3, 10), (5, 5, 1, 65)):
-            assert batched_probes([state], 5, *sizes) == [loop_probes(state, 5, *sizes)]
+        # seed 11733's first 32-bit output x has x * 9714 mod 2**32 below
+        # 2**32 mod 9714 = 9622, so a draw on a span of 9,714 rejects it;
+        # first the a-side size reads it, then the b-side one
+        x = int(np.random.default_rng(11733).bit_generator.random_raw()) & 0xFFFFFFFF
+        assert x * 9714 % 2**32 < 2**32 % 9714 == 9622
+        for sizes in ((1, 9714, 1, 3), (3, 3, 1, 9714)):
+            assert batched_probes([11733], 5, *sizes) == [loop_probes(11733, 5, *sizes)]
         assert len(loop_chunks) == 2
 
     def test_large_population_falls_back(self, loop_chunks):
@@ -501,37 +491,44 @@ class TestProbeDraws:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_mixed_generators_match_generator_calls(self, data):
-        # generators of different set sizes decoded in one batch, some of
-        # them starting with the high half of an output already buffered
+        # seeds of different set sizes decoded in one batch, int and list
+        # seeds mixed
         trials = data.draw(st.integers(0, 300))
         count = data.draw(st.integers(1, 40))
-        starts, sizes = [], []
+        seed = st.one_of(st.integers(0, 2**32), st.lists(st.integers(0, 9999), max_size=5))
+        seeds, sizes = [], []
         for _ in range(count):
             na = data.draw(st.integers(1, 70))
             nb = data.draw(st.integers(1, 70))
             sizes.append((data.draw(st.integers(1, na)), na, data.draw(st.integers(1, nb)), nb))
-            rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
-            if data.draw(st.booleans()):
-                rng.integers(0, 2**32, dtype=np.uint32)
-            starts.append(rng.bit_generator.state)
-        want = [loop_probes(s, trials, *z) for s, z in zip(starts, sizes)]
+            seeds.append(data.draw(seed))
+        want = [loop_probes(s, trials, *z) for s, z in zip(seeds, sizes)]
         qa, na, qb, nb = zip(*sizes)
-        assert batched_probes(starts, trials, qa, na, qb, nb) == want
+        assert batched_probes(seeds, trials, qa, na, qb, nb) == want
 
     def test_tiny_cell_cap_splits_alike(self, monkeypatch):
-        # a cap below one generator's trials splits by trials, and a batch of
-        # generators into runs; neither changes a probe or an end state
+        # a cap below one seed's trials leaves it one batch, and a cap below
+        # several seeds' splits them into batches; neither changes a probe
         sizes = [(3, 9, 5, 40), (10, 32, 10, 32), (1, 1, 2, 7), (30, 70, 1, 70), (4, 12, 4, 12)]
-        starts = [[13552, 7919, 1, 2, 3], 8, [5, 5], 0, 77]
-        want = [loop_probes(s, 150, *z) for s, z in zip(starts, sizes)]
+        seeds = [[13552, 7919, 1, 2, 3], 8, [5, 5], 0, 77]
+        want = [loop_probes(s, 150, *z) for s, z in zip(seeds, sizes)]
         qa, na, qb, nb = zip(*sizes)
         for cap in (1, 100, 700, 20_000):
             monkeypatch.setattr(regularity, "_CELL_CAP", cap)
-            assert batched_probes(starts, 150, qa, na, qb, nb) == want
+            assert batched_probes(seeds, 150, qa, na, qb, nb) == want
             col = random_colouring(64, 5)
             a, b = range(32), range(32, 64)
-            got = sampled_check(col, RED, a, b, 0.3, 150, starts[0])
-            assert repr(got) == repr(reference_sampled_check(col, RED, a, b, 0.3, 150, starts[0]))
+            got = sampled_check(col, RED, a, b, 0.3, 150, seeds[0])
+            assert repr(got) == repr(reference_sampled_check(col, RED, a, b, 0.3, 150, seeds[0]))
+
+    def test_wide_gate_is_one_call(self, decoded):
+        # 120 trials of 1,100-wide sides are more than _CELL_CAP cells, and
+        # still one decoding call
+        q = regularity._probe_floor(0.3, 1100)
+        assert 2 * 120 * 1100 > regularity._CELL_CAP
+        want = [loop_probes([7, 7919, 0, 1, 0], 120, q, 1100, q, 1100)]
+        assert batched_probes([[7, 7919, 0, 1, 0]], 120, q, 1100, q, 1100) == want
+        assert decoded == [120]
 
     def test_rejected_gate_falls_back_alone(self, loop_chunks):
         # the pinned rejecting gate among other gates of one batched call:
@@ -557,10 +554,10 @@ class TestProbeDraws:
         # a side above 10,000 among narrow generators of one batch: only the
         # wide one is drawn by the calls
         sizes = [(1, 5, 1, 5), (5000, 10_001, 1, 3), (2, 9, 3, 7)]
-        starts = [0, 1, [2, 3]]
-        want = [loop_probes(s, 3, *z) for s, z in zip(starts, sizes)]
+        seeds = [0, 1, [2, 3]]
+        want = [loop_probes(s, 3, *z) for s, z in zip(seeds, sizes)]
         qa, na, qb, nb = zip(*sizes)
-        assert batched_probes(starts, 3, qa, na, qb, nb) == want
+        assert batched_probes(seeds, 3, qa, na, qb, nb) == want
         assert loop_chunks == [(3, 5000, 10_001, 1, 3)]
 
     def test_oversized_probes_raise_like_the_calls(self):
@@ -571,7 +568,7 @@ class TestProbeDraws:
         with pytest.raises(ValueError):
             sampled_check(col, RED, a, b, 1.5, 10)
         with pytest.raises(ValueError):
-            _self_regularity_score(red_matrix(col, tuple(a)), 1.5, np.random.default_rng(0))
+            _self_regularity_score(red_matrix(col, tuple(a)), 1.5, 0)
         # no trial draws nothing, so nothing is raised
         got = sampled_check(col, RED, a, b, 1.5, 0)
         assert repr(got) == repr(reference_sampled_check(col, RED, a, b, 1.5, 0, 0))
