@@ -29,13 +29,10 @@ CHUNK_ROWS = 8192
 
 
 def gen_binomial(c: float, k: int) -> float:
-    """Generalized binomial c(c-1)...(c-k+1)/k!, defined for all real c."""
+    """Generalized binomial c(c-1)...(c-k+1)/k!, for every finite real c."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    num = 1.0
-    for i in range(k):
-        num *= c - i
-    return num / math.factorial(k)
+    return float(_gen_binomial_arr(np.float64(c), k))
 
 
 def _gen_binomial_arr(c: np.ndarray, k: int) -> np.ndarray:
@@ -58,18 +55,10 @@ def dichotomy_value(x, t: float) -> float:
 
 
 def elementary_symmetric(x, k: int) -> float:
-    """e_k(x) by the one-pass recurrence; k > len(x) is 0 by convention."""
+    """e_k(x) of finite x by the one-pass recurrence; k > len(x) gives 0."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    xs = [float(v) for v in x]
-    if k > len(xs):
-        return 0.0
-    e = [0.0] * (k + 1)
-    e[0] = 1.0
-    for xi in xs:
-        for j in range(k, 0, -1):
-            e[j] += e[j - 1] * xi
-    return e[k]
+    return float(_elementary_symmetric_arr(np.fromiter(x, np.float64).reshape(1, -1), k)[0])
 
 
 def _elementary_symmetric_arr(x: np.ndarray, k: int) -> np.ndarray:

@@ -28,6 +28,7 @@ from .colouring import (
     Colouring,
     bits,
     clique_pages,
+    emit_certificate,
     mask_of,
 )
 
@@ -36,11 +37,11 @@ _FUZZ = 1e-12
 # population and may shuffle a tail instead above it
 _FLOYD_LIMIT = 10_000
 # probe rows times row width that one decoding call of several seeds holds:
-# a call keeps about two raw outputs (int64) and a float mark per cell, so
+# a call keeps about two raw outputs (int64) and a float32 mark per cell, so
 # this bounds it to a few megabytes, and a gate stage of 28 gates of 32 by 32
 # vertices with 120 trials (the criterion-7 mix's largest) still fits in one
 # call.  A single seed is one call whatever its size; its arrays stay near
-# the float64 copy of its block that _stacked_hits builds
+# the float32 copy of its block that _stacked_hits builds
 _CELL_CAP = 1 << 18
 # trials of each sampled regularity gate of the reduced graph
 _GATE_TRIALS = 120
@@ -73,7 +74,7 @@ def _probe_draws(seeds, trials: int, qa, na, qb, nb):
     ``rng = np.random.default_rng(seeds[g])``.  A batch is
     (first, su, sv, rows_a, rows_b) for seeds first, first + 1, ...: su and
     sv have one row per seed and one column per trial, rows_a and rows_b one
-    float 0/1 mark row per probe, padded to the widest set of the batch.
+    float32 0/1 mark row per probe, padded to the widest set of the batch.
     Batches of several seeds stay within _CELL_CAP cells.  A seed with a
     side above _FLOYD_LIMIT forms a batch of its own, drawn by the calls
     themselves.
@@ -111,8 +112,8 @@ def _probe_loop(seed, count: int, qa: int, na: int, qb: int, nb: int):
     themselves."""
     rng = np.random.default_rng(seed)
     sizes = np.empty((2, count), dtype=np.int64)
-    rows_a = np.zeros((count, na))
-    rows_b = np.zeros((count, nb))
+    rows_a = np.zeros((count, na), dtype=np.float32)
+    rows_b = np.zeros((count, nb), dtype=np.float32)
     for t in range(count):
         su = int(rng.integers(qa, na + 1))
         sv = int(rng.integers(qb, nb + 1))
@@ -201,8 +202,8 @@ def _decode_outputs(raw, base, count: int, qa, na, qb, nb):
     )
     rejected[np.flatnonzero(bad) % (streams * count) // count] = True
     marks = marks.reshape(2, streams, count, -1)
-    rows_a = marks[0, :, :, : na.max()].astype(np.float64)
-    rows_b = marks[1, :, :, : nb.max()].astype(np.float64)
+    rows_a = marks[0, :, :, : na.max()].astype(np.float32)
+    rows_b = marks[1, :, :, : nb.max()].astype(np.float32)
     return (su, sv, rows_a, rows_b), rejected
 
 
@@ -245,36 +246,32 @@ def _floyd_marks(raw, n, s, at):
 
 def _stacked_hits(blocks, rows_a, rows_b) -> np.ndarray:
     """Edges of each 0/1 block between each of its probe pairs: block g
-    against rows_a[g] and rows_b[g], the blocks zero-padded to the rows."""
-    stack = np.zeros((len(blocks), rows_a.shape[2], rows_b.shape[2]))
+    against rows_a[g] and rows_b[g], the blocks zero-padded to the rows.
+    Each column count is at most a side's size, below 2**24, so float32
+    holds it exactly; a pair's total may not be, so it is summed in
+    float64."""
+    stack = np.zeros((len(blocks), rows_a.shape[2], rows_b.shape[2]), dtype=np.float32)
     for g, block in enumerate(blocks):
         stack[g, : block.shape[0], : block.shape[1]] = block
-    return (rows_a @ stack * rows_b).sum(2)
+    return (rows_a @ stack * rows_b).sum(2, dtype=np.float64)
 
 
-def _sampled_gates(blocks, eps: float, trials: int, seeds) -> list:
+def _sampled_gates(blocks, eps: float, trials: int, seeds) -> np.ndarray:
     """Sampled regularity of each 0/1 block, its probes drawn from a fresh
-    generator of its own seed: the first probe whose density deviates from
-    the block's by more than eps, as (its trial number from 1, its row and
-    column positions, its density), or None when no trial does."""
+    generator of its own seed: True where no probe's density deviates from
+    the block's by more than eps."""
     na = [b.shape[0] for b in blocks]
     nb = [b.shape[1] for b in blocks]
     qa = [_probe_floor(eps, n) for n in na]
     qb = [_probe_floor(eps, n) for n in nb]
     base = np.array([int(b.sum()) / b.size for b in blocks])
-    found = [None] * len(blocks)
+    # no trial at all leaves every gate passed
+    passed = np.ones(len(blocks), dtype=bool)
     for lo, su, sv, rows_a, rows_b in _probe_draws(seeds, trials, qa, na, qb, nb):
-        dens = _stacked_hits(blocks[lo : lo + len(su)], rows_a, rows_b) / (su * sv)
-        out = np.abs(dens - base[lo : lo + len(su), None]) > eps + _FUZZ
-        for g in np.flatnonzero(out.any(1)).tolist():
-            t = int(out[g].argmax())
-            found[lo + g] = (
-                t + 1,
-                np.flatnonzero(rows_a[g, t]),
-                np.flatnonzero(rows_b[g, t]),
-                float(dens[g, t]),
-            )
-    return found
+        part = slice(lo, lo + len(su))
+        dens = _stacked_hits(blocks[part], rows_a, rows_b) / (su * sv)
+        passed[part] = (np.abs(dens - base[part, None]) <= eps + _FUZZ).all(1)
+    return passed
 
 
 def _regular_subsets(col: Colouring, classes, eta: float, trials: int, seeds) -> list:
@@ -550,8 +547,7 @@ def build_reduced(
             )[idx]
             gates.append(red.take(x, 0).take(y, 1))
         seeds = [_derive_seed(seed, i, j, idx) for i, j in pairs]
-        found = _sampled_gates(gates, eta, _GATE_TRIALS, seeds)
-        alive = alive[[bad is None for bad in found]]
+        alive = alive[_sampled_gates(gates, eta, _GATE_TRIALS, seeds)]
     passed = np.zeros((m, m), dtype=bool)
     passed[alive[:, 0], alive[:, 1]] = True
     passed |= passed.T
@@ -652,8 +648,7 @@ class CandidateRecord:
     colour: int
     spine_label: str
     page_label: str
-    pages: int | None
-    spine: tuple[int, ...] | None
+    cert: BookCertificate | None
 
 
 @dataclass(frozen=True)
@@ -757,28 +752,20 @@ def extract_book(
     out("vertex_colours\t" + "".join("r" if c == RED else "b" for c in reduced.vertex_colours))
     out("deleted\t" + (" ".join(str(i) for i in sorted(reduced.deleted)) or "-"))
 
-    certs: dict[int, BookCertificate] = {}
-
     def add_candidate(case, role_red, colour, spine_parts, spine_label, page_idx):
         page_parts = [classes[j] for j in page_idx]
         page_label = " ".join(f"V{j}" for j in page_idx) or "-"
         cert = transversal_best_spine(col, colour, spine_parts, page_parts)
         idx = len(records)
-        pages = None
-        spine = None
         if cert is not None:
             verdict = verify_certificate(col, cert, 0)
             if not verdict.ok:
                 raise RuntimeError(f"extraction produced a bad certificate: {verdict}")
-            pages, spine = cert.page_count, cert.spine
-            certs[idx] = cert
-        records.append(
-            CandidateRecord(idx, case, role_red, colour, spine_label, page_label, pages, spine)
-        )
+        records.append(CandidateRecord(idx, case, role_red, colour, spine_label, page_label, cert))
         out(
             f"candidate\t{idx}\t{case}\trole_red={role_red}\tcolour={colour}"
             f"\tspine={spine_label}\tpages={page_label}\t"
-            + ("nospine" if pages is None else f"got={pages}")
+            + ("nospine" if cert is None else f"got={cert.page_count}")
         )
 
     def add_best_tuple(case, role_red, colour, tuples):
@@ -874,28 +861,18 @@ def extract_book(
                 tuples = itertools.combinations_with_replacement(parts[r], k)
                 add_best_tuple(f"end-red-{r}", role_red, role_red, tuples)
 
-    winner = None
-    for idx, cert in certs.items():
-        if winner is None or cert.page_count > certs[winner].page_count:
-            winner = idx
-    if winner is None:
+    # max keeps the first of equal page counts, so the earliest candidate wins
+    best = max(
+        (r for r in records if r.cert is not None), key=lambda r: r.cert.page_count, default=None
+    )
+    if best is None:
         out("winner\tnone")
-        result = None
-    else:
-        result = certs[winner]
-        out(f"winner\t{winner}\tpages={result.page_count}")
-        out(
-            "certificate\tBOOK %d %d %d\t%s\t%s"
-            % (
-                result.colour,
-                result.k,
-                result.page_count,
-                " ".join(str(v + 1) for v in result.spine),
-                " ".join(str(v + 1) for v in result.pages),
-            )
-        )
-    trace = ExtractionTrace(tuple(lines), tuple(records), winner)
-    return result, trace
+        return None, ExtractionTrace(tuple(lines), tuple(records), None)
+    result = best.cert
+    out(f"winner\t{best.index}\tpages={result.page_count}")
+    # [:-1], not rstrip: a certificate with no pages keeps its trailing tab
+    out("certificate\t" + emit_certificate(result)[:-1].replace("\n", "\t"))
+    return result, ExtractionTrace(tuple(lines), tuple(records), best.index)
 
 
 def _best_tuple(reduced, tuples, colour):

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,21 +89,21 @@ def reference_sampled_check(col, colour, a, b, eps, trials, seed):
     return None
 
 
-def vertex_witness(found, a, b):
-    """A gate's result from _sampled_gates with its row and column positions
-    mapped to sorted vertices of a and b, as reference_sampled_check gives
-    it."""
-    if found is None:
-        return None
-    trial, rows, cols, dens = found
-    return trial, tuple(sorted(a[i] for i in rows)), tuple(sorted(b[i] for i in cols)), dens
-
-
 def sampled_check(col, colour, a, b, eps, trials, seed=0):
-    """_sampled_gates on the a x b block of one colour alone."""
+    """_sampled_gates' verdict on the a x b block of one colour alone."""
     a, b = tuple(a), tuple(b)
     block = col.dense(colour).take(a, 0).take(b, 1)
-    return vertex_witness(_sampled_gates([block], eps, trials, [seed])[0], a, b)
+    return bool(_sampled_gates([block], eps, trials, [seed])[0])
+
+
+def assert_gate_probes(seeds, trials, eps, sizes):
+    """The probes _probe_draws decodes for gates of ``sizes`` (pairs of side
+    lengths) at eps equal the per-trial calls of each seed."""
+    qa, na, qb, nb = zip(
+        *((regularity._probe_floor(eps, x), x, regularity._probe_floor(eps, y), y) for x, y in sizes)
+    )
+    want = [loop_probes(s, trials, *z) for s, z in zip(seeds, zip(qa, na, qb, nb))]
+    assert batched_probes(seeds, trials, qa, na, qb, nb) == want
 
 
 def reference_loopless_density(col, colour, a, b):
@@ -251,9 +252,11 @@ class TestEpsRegularCheck:
         col = matching_colouring(10)
         a, b = range(10), range(10, 20)
         got = sampled_check(col, RED, a, b, 0.2, 10_000, seed=4)
-        assert got is not None
-        *_, dens = got
+        want = reference_sampled_check(col, RED, a, b, 0.2, 10_000, 4)
+        assert want is not None and got == (want is None)
+        *_, dens = want
         assert abs(dens - pair_density(col, RED, a, b)) > 0.2
+        assert_gate_probes([4], 10_000, 0.2, [(10, 10)])
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -269,17 +272,21 @@ class TestEpsRegularCheck:
         seed = data.draw(st.one_of(st.integers(0, 2**32), st.lists(st.integers(0, 9999), max_size=4)))
         got = sampled_check(col, colour, a, b, eps, trials, seed)
         want = reference_sampled_check(col, colour, a, b, eps, trials, seed)
-        # repr also pins the Python types of the witness
-        assert repr(got) == repr(want)
+        assert got == (want is None)
+        assert_gate_probes([seed], trials, eps, [(len(a), len(b))])
 
     def test_sampled_decodes_long_runs_in_one_call(self, decoded):
         # 2,000 trials of a 16 by 16 block fit one call of _CELL_CAP cells,
         # whether a trial fails or none does
         col = matching_colouring(16)
         a, b = range(16), range(16, 32)
-        assert sampled_check(col, RED, a, b, 0.1, 2000, seed=1)[0] == 218
-        assert sampled_check(col, RED, a, b, 0.9, 2000, seed=1) is None
+        assert reference_sampled_check(col, RED, a, b, 0.1, 2000, 1)[0] == 218
+        assert sampled_check(col, RED, a, b, 0.1, 2000, seed=1) is False
+        assert reference_sampled_check(col, RED, a, b, 0.9, 2000, 1) is None
+        assert sampled_check(col, RED, a, b, 0.9, 2000, seed=1) is True
         assert decoded == [2000, 2000]
+        for eps in (0.1, 0.9):
+            assert_gate_probes([1], 2000, eps, [(16, 16)])
 
     def test_sampled_gate_above_the_cap_is_one_call(self, decoded, monkeypatch):
         # a cap of 100 trials of this block does not split one gate's run:
@@ -288,27 +295,34 @@ class TestEpsRegularCheck:
         col = matching_colouring(16)
         a, b = range(16), range(16, 32)
         got = sampled_check(col, RED, a, b, 0.1, 2000, seed=1)
-        assert repr(got) == repr(reference_sampled_check(col, RED, a, b, 0.1, 2000, 1))
-        assert got[0] == 218 and decoded == [2000]
+        want = reference_sampled_check(col, RED, a, b, 0.1, 2000, 1)
+        assert got == (want is None)
+        assert want[0] == 218 and decoded == [2000]
         decoded.clear()
-        assert sampled_check(col, RED, a, b, 0.9, 2000, seed=1) is None
+        assert sampled_check(col, RED, a, b, 0.9, 2000, seed=1) is True
+        assert reference_sampled_check(col, RED, a, b, 0.9, 2000, 1) is None
+        assert decoded == [2000]
+        decoded.clear()
+        assert_gate_probes([1], 2000, 0.1, [(16, 16)])
         assert decoded == [2000]
 
     def test_sampled_matches_reference_on_irregular_pairs(self):
-        # the matching and two-block pairs fail in some trial, so the
-        # witnesses and trial counts are compared, not just "regular"
+        # the matching and two-block pairs fail in some trial, so failing
+        # verdicts are compared, not just "regular", and every probe of
+        # these seeds is compared with the calls
         irregular = 0
         for col, a, b in (
             (matching_colouring(12), range(12), range(12, 24)),
             (two_block_colouring(12), range(6, 18), range(24)),
         ):
-            for colour in (RED, BLUE):
-                for eps in (0.05, 0.1, 0.2):
+            for eps in (0.05, 0.1, 0.2):
+                assert_gate_probes(list(range(5)), 200, eps, [(len(a), len(b))] * 5)
+                for colour in (RED, BLUE):
                     for seed in range(5):
                         got = sampled_check(col, colour, a, b, eps, 200, seed)
                         want = reference_sampled_check(col, colour, a, b, eps, 200, seed)
-                        assert repr(got) == repr(want)
-                        irregular += got is not None
+                        assert got == (want is None)
+                        irregular += want is not None
         assert irregular >= 30
 
 
@@ -460,7 +474,7 @@ class TestProbeDraws:
         for colour in (RED, BLUE):
             got = sampled_check(col, colour, a, b, 0.3, 120, seed)
             want = reference_sampled_check(col, colour, a, b, 0.3, 120, seed)
-            assert repr(got) == repr(want)
+            assert got == (want is None)
         assert len(loop_chunks) == 4
 
     def test_rejected_floyd_draw(self, loop_chunks):
@@ -519,7 +533,8 @@ class TestProbeDraws:
             col = random_colouring(64, 5)
             a, b = range(32), range(32, 64)
             got = sampled_check(col, RED, a, b, 0.3, 150, seeds[0])
-            assert repr(got) == repr(reference_sampled_check(col, RED, a, b, 0.3, 150, seeds[0]))
+            assert got == (reference_sampled_check(col, RED, a, b, 0.3, 150, seeds[0]) is None)
+            assert_gate_probes(seeds[:1], 150, 0.3, [(32, 32)])
 
     def test_wide_gate_is_one_call(self, decoded):
         # 120 trials of 1,100-wide sides are more than _CELL_CAP cells, and
@@ -544,11 +559,14 @@ class TestProbeDraws:
         ]
         red = col.dense(RED)
         blocks = [red.take(a, 0).take(b, 1) for a, b, _ in gates]
-        found = _sampled_gates(blocks, 0.3, 120, [seed for _, _, seed in gates])
+        seeds = [seed for _, _, seed in gates]
+        found = _sampled_gates(blocks, 0.3, 120, seeds)
         assert loop_chunks == [(120, 10, 32, 10, 32)]
-        for (a, b, seed), got in zip(gates, found):
+        for (a, b, seed), got in zip(gates, found.tolist()):
             want = reference_sampled_check(col, RED, a, b, 0.3, 120, seed)
-            assert repr(vertex_witness(got, a, b)) == repr(want)
+            assert got == (want is None)
+        assert_gate_probes(seeds, 120, 0.3, [(len(a), len(b)) for a, b, _ in gates])
+        assert loop_chunks == [(120, 10, 32, 10, 32)] * 2
 
     def test_wide_generator_falls_back_alone(self, loop_chunks):
         # a side above 10,000 among narrow generators of one batch: only the
@@ -569,9 +587,38 @@ class TestProbeDraws:
             sampled_check(col, RED, a, b, 1.5, 10)
         with pytest.raises(ValueError):
             _self_regularity_score(red_matrix(col, tuple(a)), 1.5, 0)
-        # no trial draws nothing, so nothing is raised
+        # no trial draws nothing, so nothing is raised and the gate passes
         got = sampled_check(col, RED, a, b, 1.5, 0)
-        assert repr(got) == repr(reference_sampled_check(col, RED, a, b, 1.5, 0, 0))
+        assert got is True and reference_sampled_check(col, RED, a, b, 1.5, 0, 0) is None
+
+
+class TestWideGate:
+    """One 3,000 by 6,000 gate: its memory and its exact edge counts."""
+
+    def test_memory_of_one_wide_gate(self):
+        # a float64 stack of the block alone is 137 MiB; the float32 stack
+        # and marks keep the whole call near 76 MiB
+        block = np.random.default_rng(3).integers(0, 2, (3000, 6000), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            _sampled_gates([block], 0.3, 120, [[7, 7919, 0, 1, 0]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 110 * 2**20
+
+    def test_stacked_hits_count_exactly(self):
+        # a 97%-dense block's edge count lies above 2**24 and is odd, so no
+        # float32 sum can hold it; the float64 sum of float32 column counts
+        # does
+        block = (np.random.default_rng(5).integers(0, 100, (3000, 6000), dtype=np.uint8) < 97).view(
+            np.uint8
+        )
+        edges = int(block.sum())
+        assert edges > 2**24 and edges % 2 == 1
+        rows_a = np.ones((1, 1, 3000), dtype=np.float32)
+        rows_b = np.ones((1, 1, 6000), dtype=np.float32)
+        assert regularity._stacked_hits([block], rows_a, rows_b).tolist() == [[edges]]
 
 
 class TestMakePartition:
