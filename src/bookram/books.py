@@ -191,7 +191,8 @@ def _spine_blocks(a: np.ndarray, k: int, bar=lambda: -1):
     entries come in lexicographic order.  A spine is left out only when, as
     its branch is reached, the branch cannot have more than ``bar()`` pages.
 
-    k=1 is the degree row and k=2 the product ``a @ a``.  For k >= 3 the
+    k=1 is the degree row and k=2 the product ``a @ a.T`` (a is symmetric,
+    and numpy runs ``x @ x.T`` as a symmetric rank-k update).  For k >= 3 the
     blocks come per smallest spine vertex u, ascending, from B, the rows of
     u's later neighbours restricted to its neighbours, and E, the upper
     triangle of edges among them.  From R = B and C = E, each of k-3 levels
@@ -210,7 +211,7 @@ def _spine_blocks(a: np.ndarray, k: int, bar=lambda: -1):
         return
     if k == 2:
         edge = a.astype(np.float32)
-        yield np.arange(n)[:, None], np.arange(n), edge @ edge, np.triu(a.view(bool), 1)
+        yield np.arange(n)[:, None], np.arange(n), edge @ edge.T, np.triu(a.view(bool), 1)
         return
     degree = a.sum(1, dtype=np.int64)
     # its leading square blocks are the strict upper triangles of every size

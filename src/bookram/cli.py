@@ -16,7 +16,6 @@ import sys
 
 from . import books, constructions, lemmas, regularity, sat, search
 from .colouring import (
-    FormatError,
     emit_certificate,
     emit_colouring,
     emit_hypercolouring,
@@ -140,10 +139,8 @@ def main(argv=None, out=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _dispatch(args, out)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, sat.CnfSizeError) as exc:
+    except (ValueError, OSError) as exc:
+        # a refusal, FormatError and sat.CnfSizeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -256,30 +256,35 @@ def _stacked_hits(blocks, rows_a, rows_b) -> np.ndarray:
     return (rows_a @ stack * rows_b).sum(2, dtype=np.float64)
 
 
-def _sampled_gates(blocks, eps: float, trials: int, seeds) -> np.ndarray:
-    """Sampled regularity of each 0/1 block, its probes drawn from a fresh
-    generator of its own seed: True where no probe's density deviates from
-    the block's by more than eps."""
+def _probe_deviations(blocks, eps: float, trials: int, seeds, loopless: bool) -> np.ndarray:
+    """Largest |d(U', V') - d(A, B)| of each 0/1 block over ``trials`` probe
+    pairs drawn from a fresh generator of its own seed in ``seeds``; 0 for a
+    block with no trial.  A loopless block is square, and its densities
+    count only ordered pairs of distinct vertices, so a complete graph has
+    density exactly 1 at any size; probes with no such pair are skipped."""
     na = [b.shape[0] for b in blocks]
     nb = [b.shape[1] for b in blocks]
     qa = [_probe_floor(eps, n) for n in na]
     qb = [_probe_floor(eps, n) for n in nb]
-    base = np.array([int(b.sum()) / b.size for b in blocks])
-    # no trial at all leaves every gate passed
-    passed = np.ones(len(blocks), dtype=bool)
+    # below two vertices no loopless probe has a pair, so the base is never read
+    base = np.array([int(b.sum()) / max(b.size - loopless * len(b), 1) for b in blocks])
+    worst = np.zeros(len(blocks))
     for lo, su, sv, rows_a, rows_b in _probe_draws(seeds, trials, qa, na, qb, nb):
         part = slice(lo, lo + len(su))
-        dens = _stacked_hits(blocks[part], rows_a, rows_b) / (su * sv)
-        passed[part] = (np.abs(dens - base[part, None]) <= eps + _FUZZ).all(1)
-    return passed
+        pairs = su * sv - (rows_a * rows_b).sum(2) if loopless else su * sv
+        hits = _stacked_hits(blocks[part], rows_a, rows_b)
+        dev = np.abs(hits / np.maximum(pairs, 1) - base[part, None])
+        worst[part] = np.where(pairs > 0, dev, 0.0).max(1)
+    return worst
 
 
 def _regular_subsets(col: Colouring, classes, eta: float, trials: int, seeds) -> list:
     """For each class (a sorted tuple of vertices) and its seed (a list of
     ints), the one among ``trials`` seeded random subsets of size
     max(2, ceil(|class|/2)) and the class itself with the best sampled
-    self-regularity score; a class below three vertices is its own pick.
-    The candidates of every class are scored in one batch."""
+    self-regularity score, its largest loopless probe deviation; a class
+    below three vertices is its own pick.  The candidates of every class are
+    scored in one batch."""
     red = col.dense(RED)
     plans, blocks, probe_seeds = [], [], []
     for verts, seed in zip(classes, seeds):
@@ -297,7 +302,7 @@ def _regular_subsets(col: Colouring, classes, eta: float, trials: int, seeds) ->
         blocks += [inside.take(pos, 0).take(pos, 1) for pos in cands]
         probe_seeds += [[*seed, 101, ci] for ci in range(trials + 1)]
         plans.append((verts, cands))
-    scores = iter(_self_regularity_scores(blocks, eta, probe_seeds))
+    scores = iter(_probe_deviations(blocks, eta, _SELF_PROBES, probe_seeds, True).tolist())
     picks = []
     for verts, cands in plans:
         if cands is None:
@@ -309,27 +314,6 @@ def _regular_subsets(col: Colouring, classes, eta: float, trials: int, seeds) ->
                 best = (score, pos)
         picks.append(tuple(verts[i] for i in best[1]))
     return picks
-
-
-def _self_regularity_scores(blocks, eta, seeds) -> list[float]:
-    """For each square red 0/1 block, the max sampled deviation
-    |d(U', V') - d(W, W)| over _SELF_PROBES random probe pairs drawn from a
-    fresh generator of its own seed in ``seeds``.  Densities are loopless:
-    they count only ordered pairs of distinct vertices, so a complete graph
-    scores exactly 1 at any size.  Lower is better; probes with no such pair
-    are skipped."""
-    n = [len(b) for b in blocks]
-    q = [_probe_floor(eta, size) for size in n]
-    # below two vertices no probe has a pair, so the base is never read
-    base = np.array([int(b.sum()) / max(size * size - size, 1) for b, size in zip(blocks, n)])
-    worst = np.zeros(len(blocks))
-    for lo, su, sv, rows_u, rows_v in _probe_draws(seeds, _SELF_PROBES, q, n, q, n):
-        part = slice(lo, lo + len(su))
-        hits = _stacked_hits(blocks[part], rows_u, rows_v)
-        pairs = su * sv - (rows_u * rows_v).sum(2)
-        dev = np.abs(hits / np.maximum(pairs, 1) - base[part, None])
-        worst[part] = np.maximum(worst[part], np.where(pairs > 0, dev, 0.0).max(1))
-    return worst.tolist()
 
 
 @dataclass(frozen=True)
@@ -547,7 +531,7 @@ def build_reduced(
             )[idx]
             gates.append(red.take(x, 0).take(y, 1))
         seeds = [_derive_seed(seed, i, j, idx) for i, j in pairs]
-        alive = alive[_sampled_gates(gates, eta, _GATE_TRIALS, seeds)]
+        alive = alive[_probe_deviations(gates, eta, _GATE_TRIALS, seeds, False) <= eta + _FUZZ]
     passed = np.zeros((m, m), dtype=bool)
     passed[alive[:, 0], alive[:, 1]] = True
     passed |= passed.T

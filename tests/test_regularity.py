@@ -19,11 +19,14 @@ from bookram import regularity
 from bookram.regularity import (
     EquitablePartition,
     ReducedGraph,
+    _FUZZ,
+    _SELF_PROBES,
     _find_blowup,
+    _probe_deviations,
     _probe_draws,
+    _probe_floor,
     _regular_subsets,
-    _sampled_gates,
-    _self_regularity_scores,
+    _stacked_hits,
     _transversal_scan,
     balanced_swap_search,
     build_reduced,
@@ -90,10 +93,11 @@ def reference_sampled_check(col, colour, a, b, eps, trials, seed):
 
 
 def sampled_check(col, colour, a, b, eps, trials, seed=0):
-    """_sampled_gates' verdict on the a x b block of one colour alone."""
+    """The gate verdict of _probe_deviations on the a x b block of one
+    colour alone."""
     a, b = tuple(a), tuple(b)
     block = col.dense(colour).take(a, 0).take(b, 1)
-    return bool(_sampled_gates([block], eps, trials, [seed])[0])
+    return bool(_probe_deviations([block], eps, trials, [seed], False)[0] <= eps + _FUZZ)
 
 
 def assert_gate_probes(seeds, trials, eps, sizes):
@@ -182,7 +186,50 @@ def reference_swap_search(col, m, seed, steps):
 def _self_regularity_score(block, eta, seed):
     """The self-regularity score of one square block, drawn from a fresh
     generator of ``seed``."""
-    return _self_regularity_scores([block], eta, [seed])[0]
+    return float(_probe_deviations([block], eta, _SELF_PROBES, [seed], True)[0])
+
+
+# The two loops that _probe_deviations replaced, as they were: the gate
+# verdicts of build_reduced and the subset scores of _regular_subsets.
+
+
+def _sampled_gates(blocks, eps: float, trials: int, seeds) -> np.ndarray:
+    """Sampled regularity of each 0/1 block, its probes drawn from a fresh
+    generator of its own seed: True where no probe's density deviates from
+    the block's by more than eps."""
+    na = [b.shape[0] for b in blocks]
+    nb = [b.shape[1] for b in blocks]
+    qa = [_probe_floor(eps, n) for n in na]
+    qb = [_probe_floor(eps, n) for n in nb]
+    base = np.array([int(b.sum()) / b.size for b in blocks])
+    # no trial at all leaves every gate passed
+    passed = np.ones(len(blocks), dtype=bool)
+    for lo, su, sv, rows_a, rows_b in _probe_draws(seeds, trials, qa, na, qb, nb):
+        part = slice(lo, lo + len(su))
+        dens = _stacked_hits(blocks[part], rows_a, rows_b) / (su * sv)
+        passed[part] = (np.abs(dens - base[part, None]) <= eps + _FUZZ).all(1)
+    return passed
+
+
+def _self_regularity_scores(blocks, eta, seeds) -> list[float]:
+    """For each square red 0/1 block, the max sampled deviation
+    |d(U', V') - d(W, W)| over _SELF_PROBES random probe pairs drawn from a
+    fresh generator of its own seed in ``seeds``.  Densities are loopless:
+    they count only ordered pairs of distinct vertices, so a complete graph
+    scores exactly 1 at any size.  Lower is better; probes with no such pair
+    are skipped."""
+    n = [len(b) for b in blocks]
+    q = [_probe_floor(eta, size) for size in n]
+    # below two vertices no probe has a pair, so the base is never read
+    base = np.array([int(b.sum()) / max(size * size - size, 1) for b, size in zip(blocks, n)])
+    worst = np.zeros(len(blocks))
+    for lo, su, sv, rows_u, rows_v in _probe_draws(seeds, _SELF_PROBES, q, n, q, n):
+        part = slice(lo, lo + len(su))
+        hits = _stacked_hits(blocks[part], rows_u, rows_v)
+        pairs = su * sv - (rows_u * rows_v).sum(2)
+        dev = np.abs(hits / np.maximum(pairs, 1) - base[part, None])
+        worst[part] = np.maximum(worst[part], np.where(pairs > 0, dev, 0.0).max(1))
+    return worst.tolist()
 
 
 def red_matrix(col, verts):
@@ -245,8 +292,8 @@ def decoded(monkeypatch):
 
 
 class TestEpsRegularCheck:
-    """The sampled eps-regularity check of one pair: _sampled_gates on its
-    block against the per-trial oracle."""
+    """The sampled eps-regularity check of one pair: the gate verdict of
+    _probe_deviations on its block against the per-trial oracle."""
 
     def test_sampled_finds_matching_violation(self):
         col = matching_colouring(10)
@@ -560,7 +607,7 @@ class TestProbeDraws:
         red = col.dense(RED)
         blocks = [red.take(a, 0).take(b, 1) for a, b, _ in gates]
         seeds = [seed for _, _, seed in gates]
-        found = _sampled_gates(blocks, 0.3, 120, seeds)
+        found = _probe_deviations(blocks, 0.3, 120, seeds, False) <= 0.3 + _FUZZ
         assert loop_chunks == [(120, 10, 32, 10, 32)]
         for (a, b, seed), got in zip(gates, found.tolist()):
             want = reference_sampled_check(col, RED, a, b, 0.3, 120, seed)
@@ -592,6 +639,69 @@ class TestProbeDraws:
         assert got is True and reference_sampled_check(col, RED, a, b, 1.5, 0, 0) is None
 
 
+class TestProbeDeviations:
+    """_probe_deviations against the two loops it replaced: its gate
+    verdicts and its loopless scores equal theirs bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_replaced_loops(self, data):
+        # a cap of 1 or 300 cells puts these blocks in several batches; the
+        # smallest blocks are drawn often, as their probes may hold no pair
+        count = data.draw(st.integers(1, 8))
+        side = st.one_of(st.integers(1, 3), st.integers(1, 40))
+        eps = data.draw(st.floats(0, 1))
+        trials = data.draw(st.integers(0, 200))
+        cap = data.draw(st.sampled_from((regularity._CELL_CAP, 1, 300, 3000)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        gates, squares = [], []
+        for _ in range(count):
+            rows, cols = data.draw(side), data.draw(side)
+            density = data.draw(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)))
+            gates.append((rng.random((rows, cols)) < density).view(np.uint8))
+            square = (rng.random((rows, rows)) < density).view(np.uint8)
+            np.fill_diagonal(square, 0)
+            squares.append(square)
+        seed = st.one_of(st.integers(0, 2**32), st.lists(st.integers(0, 9999), max_size=5))
+        seeds = data.draw(st.lists(seed, min_size=count, max_size=count))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regularity, "_CELL_CAP", cap)
+            worst = _probe_deviations(gates, eps, trials, seeds, False)
+            assert (worst <= eps + _FUZZ).tolist() == _sampled_gates(gates, eps, trials, seeds).tolist()
+            scores = _probe_deviations(squares, eps, _SELF_PROBES, seeds, True)
+            assert repr(scores.tolist()) == repr(_self_regularity_scores(squares, eps, seeds))
+        # with no trial every deviation is 0
+        assert not _probe_deviations(squares, eps, 0, seeds, True).any()
+        if not trials:
+            assert not worst.any()
+
+    def test_blocks_without_pairs(self):
+        # a single vertex holds no ordered pair of distinct vertices, and
+        # neither does a probe of one vertex against itself in a complete
+        # pair; both score 0, like a complete graph of any size
+        single = np.zeros((1, 1), dtype=np.uint8)
+        blocks = [single, single, 1 - np.eye(2, dtype=np.uint8), 1 - np.eye(9, dtype=np.uint8)]
+        seeds = [0, [5, 5], 3, 4]
+        for eta in (0.0, 0.3, 1.0):
+            scores = _probe_deviations(blocks, eta, _SELF_PROBES, seeds, True).tolist()
+            assert scores == _self_regularity_scores(blocks, eta, seeds) == [0.0] * 4
+        # the complete pair's probes include one vertex against itself,
+        # which the oracle skips and a mask-free deviation would score 1
+        ((_, su, sv, rows_u, rows_v),) = _probe_draws([3], _SELF_PROBES, 1, 2, 1, 2)
+        assert ((su[0] == 1) & (sv[0] == 1) & ((rows_u[0] * rows_v[0]).sum(1) == 1)).any()
+
+    def test_rejected_size_draw(self, loop_chunks):
+        # seed 11733's first output is rejected on a span of 9,714 (see
+        # TestProbeDraws.test_rejected_size_draw), so each of these gates'
+        # probes come from the calls themselves
+        noisy = (np.random.default_rng(2).random((9714, 3)) < 0.5).view(np.uint8)
+        blocks = [noisy, np.zeros_like(noisy)]
+        worst = _probe_deviations(blocks, 0.0, 5, [11733] * 2, False)
+        want = _sampled_gates(blocks, 0.0, 5, [11733] * 2).tolist()
+        assert (worst <= _FUZZ).tolist() == want == [False, True]
+        assert len(loop_chunks) == 4
+
+
 class TestWideGate:
     """One 3,000 by 6,000 gate: its memory and its exact edge counts."""
 
@@ -601,7 +711,7 @@ class TestWideGate:
         block = np.random.default_rng(3).integers(0, 2, (3000, 6000), dtype=np.uint8)
         tracemalloc.start()
         try:
-            _sampled_gates([block], 0.3, 120, [[7, 7919, 0, 1, 0]])
+            _probe_deviations([block], 0.3, 120, [[7, 7919, 0, 1, 0]], False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -840,6 +950,22 @@ class TestBuildReduced:
             coloured += sum(c is not None for row in red.edge_colours for c in row)
         # some edges pass every gate, so the comparison is not all-uncoloured
         assert coloured > 0
+
+    def test_deviation_at_the_bar_passes(self):
+        # red across the two classes exactly when u + v is even, so every
+        # gate is a 4 x 4 block of density 1/2, and a probe on two vertices
+        # of one parity a side deviates by exactly 1/2, which is eta + _FUZZ
+        eta = 0.499999999999
+        assert eta + _FUZZ == 0.5
+        col = Colouring.from_edge_colours(8, 2, lambda u, v: int((u < 4) != (v < 4) and (u + v) % 2))
+        classes = (tuple(range(4)), tuple(range(4, 8)))
+        part = EquitablePartition(classes, classes)
+        gate = col.dense(RED).take(classes[0], 0).take(classes[1], 1)
+        seed = regularity._derive_seed(3, 0, 1, 0)
+        assert _probe_deviations([gate], eta, regularity._GATE_TRIALS, [seed], False).tolist() == [0.5]
+        red = build_reduced(col, part, eta=eta, delta=0.3, seed=3)
+        assert red.edge_colours[0][1] == BLUE
+        assert (red.edge_colours, red.deleted) == per_gate_reduced(col, part, eta, 0.3, seed=3)
 
     def test_deterministic(self):
         col = random_colouring(64, 16)
