@@ -60,11 +60,13 @@ def max_book(col: Colouring, k: int) -> BookCertificate | None:
     """Certificate with the maximum page count over all colours and all
     monochromatic k-clique spines, or None when no spine exists at all.
 
-    "No spine" is distinct from a 0-page certificate.
+    "No spine" is distinct from a 0-page certificate.  Colours ascending, one
+    per task of ``_map_colours``, and the first row-major maximum inside a
+    colour, which is its lexicographically smallest best spine.
     """
     if k < 1:
         raise ValueError("spine size must be at least 1")
-    return _certificate(col, _max_book_dense(col, k))
+    return _certificate(col, _first_best(_map_colours(col, lambda c: _max_book_colour(col, k, c))))
 
 
 def _certificate(col: Colouring, found) -> BookCertificate | None:
@@ -90,16 +92,6 @@ def _block_best(best, c: int, block):
         return best
     i, j = np.unravel_index(at, pages.shape)
     return m, c, (*map(int, heads[i]), int(labels[j]))
-
-
-def _max_book_dense(col: Colouring, k: int):
-    """Best (pages, colour, spine) over the blocks of ``_spine_blocks``, one
-    colour per task of ``_map_colours``, or None when there is no spine.
-
-    Colours ascending, and the first row-major maximum inside a colour, which
-    is its lexicographically smallest best spine.
-    """
-    return _first_best(_map_colours(col, lambda c: _max_book_colour(col, k, c)))
 
 
 def _first_best(found):
@@ -315,15 +307,9 @@ def local_profile(col: Colouring, k: int) -> BookProfile:
     together with the best certificate (same tie rules as ``max_book``)."""
     if k < 1:
         raise ValueError("spine size must be at least 1")
-    histograms, best = _profile_dense(col, k)
-    return BookProfile(k, tuple(histograms), _certificate(col, best))
-
-
-def _profile_dense(col: Colouring, k: int):
-    """Per-colour page histograms and the best (pages, colour, spine) from
-    the blocks of ``_spine_blocks``, one colour per task of ``_map_colours``."""
     per_colour = _map_colours(col, lambda c: _profile_colour(col, k, c))
-    return [hist for hist, _ in per_colour], _first_best(best for _, best in per_colour)
+    best = _first_best(best for _, best in per_colour)
+    return BookProfile(k, tuple(hist for hist, _ in per_colour), _certificate(col, best))
 
 
 def _profile_colour(col: Colouring, k: int, c: int):

@@ -44,7 +44,10 @@ def _write(path: str | None, text: str, out) -> None:
         out.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call reuses: ``parse_args`` fills a fresh
+    namespace each time, so no parsed value carries over."""
     parser = argparse.ArgumentParser(
         prog="bookram",
         description="Monochromatic book statistics and small book Ramsey numbers",
@@ -123,18 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser every ``main`` call reuses: ``parse_args`` fills a fresh
-    namespace each time, so no parsed value carries over."""
-    return build_parser()
-
-
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

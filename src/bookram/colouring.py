@@ -392,13 +392,8 @@ def _subset_rank(t: tuple[int, ...], n: int, s: int) -> int:
         raise ValueError(f"not a sorted {s}-subset: {t}")
     if t[0] < 0 or t[-1] >= n:
         raise ValueError(f"subset {t} out of range(n={n})")
-    rank = 0
-    prev = -1
-    for i, v in enumerate(t):
-        for w in range(prev + 1, v):
-            rank += comb(n - 1 - w, s - 1 - i)
-        prev = v
-    return rank
+    # the subsets after t agree with it up to some entry i and exceed it there
+    return comb(n, s) - 1 - sum(comb(n - 1 - v, s - i) for i, v in enumerate(t))
 
 
 def parse_hypercolouring(text: str) -> HyperColouring:
@@ -478,36 +473,42 @@ class BookCertificate:
 
 def parse_certificate(text: str) -> BookCertificate:
     """Parse a BOOK file: ``BOOK <colour> <k> <pages>``, then the spine line
-    and the page line (vertices ascending, 1-based; page line may be empty)."""
-    lines = [l for l in text.splitlines() if not l.startswith("#")]
+    and the page line (vertices ascending, 1-based; page line may be empty).
+    Nothing but comments may follow the page line.  Errors name file lines,
+    and none when the line is missing."""
+    lines = [(no, l) for no, l in enumerate(text.splitlines(), start=1) if not l.startswith("#")]
     if not lines:
-        raise FormatError("empty certificate", 1)
-    parts = lines[0].split()
+        raise FormatError("empty certificate")
+    head_no, head = lines[0]
+    parts = head.split()
     if len(parts) != 4 or parts[0] != "BOOK":
-        raise FormatError("expected header 'BOOK <colour> <k> <pages>'", 1)
+        raise FormatError("expected header 'BOOK <colour> <k> <pages>'", head_no)
     try:
         colour, k, npages = int(parts[1]), int(parts[2]), int(parts[3])
     except ValueError:
-        raise FormatError("non-integer header field", 1) from None
+        raise FormatError("non-integer header field", head_no) from None
     if len(lines) < 2:
-        raise FormatError("missing spine line", 2)
+        raise FormatError("missing spine line")
+    # a missing page line reads as an empty one
+    (spine_no, spine_line), (pages_no, pages_line) = (lines + [(None, "")])[1:3]
     try:
-        spine = tuple(int(p) - 1 for p in lines[1].split())
+        spine = tuple(int(p) - 1 for p in spine_line.split())
     except ValueError:
-        raise FormatError("non-integer spine vertex", 2) from None
-    pages_line = lines[2] if len(lines) >= 3 else ""
+        raise FormatError("non-integer spine vertex", spine_no) from None
     try:
         pages = tuple(int(p) - 1 for p in pages_line.split())
     except ValueError:
-        raise FormatError("non-integer page vertex", 3) from None
+        raise FormatError("non-integer page vertex", pages_no) from None
     if len(spine) != k:
-        raise FormatError(f"header says k={k} but spine has {len(spine)} vertices", 2)
+        raise FormatError(f"header says k={k} but spine has {len(spine)} vertices", spine_no)
     if len(pages) != npages:
-        raise FormatError(f"header says {npages} pages but found {len(pages)}", 3)
+        raise FormatError(f"header says {npages} pages but found {len(pages)}", pages_no)
     if any(spine[i] >= spine[i + 1] for i in range(len(spine) - 1)):
-        raise FormatError("spine vertices must be strictly ascending", 2)
+        raise FormatError("spine vertices must be strictly ascending", spine_no)
     if any(pages[i] >= pages[i + 1] for i in range(len(pages) - 1)):
-        raise FormatError("page vertices must be strictly ascending", 3)
+        raise FormatError("page vertices must be strictly ascending", pages_no)
+    if len(lines) > 3:
+        raise FormatError("unexpected line after the page line", lines[3][0])
     return BookCertificate(colour, spine, pages)
 
 

@@ -626,12 +626,7 @@ def transversal_best_spine(
 class CandidateRecord:
     """One spine prescription tried by the extraction case analysis."""
 
-    index: int
     case: str
-    role_red: int
-    colour: int
-    spine_label: str
-    page_label: str
     cert: BookCertificate | None
 
 
@@ -745,7 +740,7 @@ def extract_book(
             verdict = verify_certificate(col, cert, 0)
             if not verdict.ok:
                 raise RuntimeError(f"extraction produced a bad certificate: {verdict}")
-        records.append(CandidateRecord(idx, case, role_red, colour, spine_label, page_label, cert))
+        records.append(CandidateRecord(case, cert))
         out(
             f"candidate\t{idx}\t{case}\trole_red={role_red}\tcolour={colour}"
             f"\tspine={spine_label}\tpages={page_label}\t"
@@ -847,16 +842,18 @@ def extract_book(
 
     # max keeps the first of equal page counts, so the earliest candidate wins
     best = max(
-        (r for r in records if r.cert is not None), key=lambda r: r.cert.page_count, default=None
+        (i for i, r in enumerate(records) if r.cert is not None),
+        key=lambda i: records[i].cert.page_count,
+        default=None,
     )
     if best is None:
         out("winner\tnone")
         return None, ExtractionTrace(tuple(lines), tuple(records), None)
-    result = best.cert
-    out(f"winner\t{best.index}\tpages={result.page_count}")
+    result = records[best].cert
+    out(f"winner\t{best}\tpages={result.page_count}")
     # [:-1], not rstrip: a certificate with no pages keeps its trailing tab
     out("certificate\t" + emit_certificate(result)[:-1].replace("\n", "\t"))
-    return result, ExtractionTrace(tuple(lines), tuple(records), best.index)
+    return result, ExtractionTrace(tuple(lines), tuple(records), best)
 
 
 def _best_tuple(reduced, tuples, colour):

@@ -318,11 +318,9 @@ def solve_dimacs(text: str) -> tuple[str, list[int] | None]:
         value[lit], value[var] = 1, -1
         trail.append(lit)
         while not propagate(len(trail) - 1):
+            # flipped decisions lie above the unflipped one, whose undo clears them
             while decisions and decisions[-1][2]:
-                mark, lit, _ = decisions.pop()
-                for l in trail[mark:]:
-                    value[l] = value[-l] = 0
-                del trail[mark:]
+                decisions.pop()
             if not decisions:
                 return UNSAT, None
             mark, lit, _ = decisions.pop()

@@ -44,7 +44,6 @@ class WitnessResult:
     status: str
     colouring: Colouring | None
     nodes: int
-    seconds: float
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,6 @@ class ExactResult:
     upper: int | None
     witness: Colouring | None
     nodes: int
-    seconds: float
 
     @property
     def ramsey_number(self) -> int | None:
@@ -158,7 +156,7 @@ def find_witness(
         nodes += 1
         if nodes >= check:
             if nodes >= limit or time.perf_counter() > deadline:
-                return WitnessResult(INCONCLUSIVE, None, nodes, time.perf_counter() - start)
+                return WitnessResult(INCONCLUSIVE, None, nodes)
             clock += 1024
             check = min(limit, clock)
         adjc = adj[c]
@@ -175,7 +173,7 @@ def find_witness(
         adjc[v] ^= ub
         while c or not colours[top[idx]]:
             if not idx:
-                return WitnessResult(NONE, None, nodes, time.perf_counter() - start)
+                return WitnessResult(NONE, None, nodes)
             idx -= 1
             c = colours[idx]
             u, v, ub, vb = edges[idx]
@@ -183,11 +181,10 @@ def find_witness(
             adjc[u] ^= vb
             adjc[v] ^= ub
         c = 1
-    elapsed = time.perf_counter() - start
     col = Colouring(size, 2, (tuple(adj[0]), tuple(adj[1])))
     if has_mono_book(col, k, n):
         raise RuntimeError("search produced an invalid witness; pruning is broken")
-    return WitnessResult(FOUND, col, nodes, elapsed)
+    return WitnessResult(FOUND, col, nodes)
 
 
 def ramsey_book(k: int, n: int, budget: Budget | None = None) -> ExactResult:
@@ -221,4 +218,4 @@ def ramsey_book(k: int, n: int, budget: Budget | None = None) -> ExactResult:
             break
         lower, witness = size, res.colouring
         size += 1
-    return ExactResult(k, n, status, lower, upper, witness, total_nodes, time.perf_counter() - t0)
+    return ExactResult(k, n, status, lower, upper, witness, total_nodes)

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from bookram import books
 from bookram.books import (
-    _max_book_dense,
-    _profile_dense,
     has_mono_book,
     local_profile,
     max_book,
@@ -31,6 +29,23 @@ from bookram.colouring import (
 from bookram.constructions import multicolour_blowup, pentagon_colouring, random_colouring
 
 from conftest import all_one_colour, random_small
+
+
+def _oracle_form(cert: BookCertificate | None):
+    """A certificate as the oracles' (pages, colour, spine), or None."""
+    return None if cert is None else (cert.page_count, cert.colour, cert.spine)
+
+
+def _max_book_dense(col: Colouring, k: int):
+    """``max_book`` in the oracles' form; its page count is the number of
+    pages ``_certificate`` read back from the colouring."""
+    return _oracle_form(max_book(col, k))
+
+
+def _profile_dense(col: Colouring, k: int):
+    """``local_profile`` in the form of ``_profile_enumerate``."""
+    profile = local_profile(col, k)
+    return list(profile.histograms), _oracle_form(profile.best)
 
 
 def _max_book_bitset(col: Colouring, k: int):

@@ -150,6 +150,83 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE
 
 
+    @pytest.mark.parametrize(
+        "text, reason, witness",
+        [
+            ("BOOK 2 2 0\n1 2\n\n", "colour", "(2,)"),
+            ("BOOK 0 0 0\n\n\n", "empty-spine", "()"),
+            ("BOOK 0 2 3\n1 2\n3 4 5\n", "too-few-pages", "(3, 4)"),
+        ],
+    )
+    def test_rejections(self, text, reason, witness, tmp_path):
+        knc = tmp_path / "c.knc"
+        knc.write_text(emit_colouring(all_one_colour(5)))
+        cert = tmp_path / "x.cert"
+        cert.write_text(text)
+        code, out = run(["verify", "--input", str(knc), "--cert", str(cert), "--n", "4"])
+        assert code == EXIT_VIOLATED
+        assert out == f"reject\t{reason}\t{witness}\n"
+
+
+#: Inputs each parser refuses, one per refusal message: (command, file text,
+#: message).  The file is given to ``book --input`` (KNC), ``construct
+#: hblowup --base`` (KNSC) or ``verify --cert`` (BOOK).
+_REFUSED_FILES = [
+    ("knc", "KNX 1 3 2\n00\n0\n", "line 1: expected header"),
+    ("knc", "KNC 1 x 2\n00\n0\n", "line 1: non-integer N or q in header"),
+    ("knc", "KNC 1 0 2\n", "line 1: vertex count 0 < 1"),
+    ("knc", "KNC 1 3 11\n00\n0\n", "line 1: colour count 11 outside 2..10"),
+    ("knc", "KNC 1 3 2\n02\n0\n", "line 2: bad colour digit '2' for q=2"),
+    ("knc", "KNC 1 3 2\n00\n0\n0\n", "line 4: unexpected extra data line"),
+    ("knc", "KNC 1 3 2\n0\n0\n", "line 2: row for vertex 1 has 1 digits, expected 2"),
+    ("knc", "# only a comment\n", "line 1: missing KNC header"),
+    ("knc", "KNC 1 3 2\n00\n", "expected 2 data rows, found 1"),
+    ("knsc", "KNSC 2 4 3\n", "line 1: expected header"),
+    ("knsc", "KNSC 1 4 x\n", "line 1: non-integer N or s in header"),
+    ("knsc", "KNSC 1 4 2\n", "line 1: uniformity 2 < 3"),
+    ("knsc", "KNSC 1 3 4\n", "line 1: vertex count 3 < s"),
+    ("knsc", "KNSC 1 60 6\n", "line 1: C(60,6) exceeds cap"),
+    ("knsc", "KNSC 1 3 3\n1 2 0\n", "line 2: expected 3 vertices and a colour"),
+    ("knsc", "KNSC 1 3 3\n1 2 x 0\n", "line 2: non-integer field"),
+    ("knsc", "KNSC 1 3 3\n1 2 3 0\n1 2 3 0\n", "line 3: unexpected extra edge line"),
+    ("knsc", "KNSC 1 4 3\n1 2 4 0\n", "line 2: edge out of lexicographic order"),
+    ("knsc", "KNSC 1 3 3\n1 2 3 2\n", "line 2: hypergraph colour 2 not in {0,1}"),
+    ("knsc", "", "line 1: missing KNSC header"),
+    ("knsc", "KNSC 1 4 3\n1 2 3 0\n", "expected 4 edge lines, found 1"),
+    ("book", "", "empty certificate"),
+    ("book", "BOOK 0 2\n1 2\n\n", "line 1: expected header"),
+    ("book", "BOOK 0 2 x\n1 2\n\n", "line 1: non-integer header field"),
+    ("book", "# c\nBOOK 0 2 0\n", "missing spine line"),
+    ("book", "# c\nBOOK 0 2 0\n1 x\n\n", "line 3: non-integer spine vertex"),
+    ("book", "BOOK 0 2 1\n1 2\n# c\nx\n", "line 4: non-integer page vertex"),
+    ("book", "BOOK 0 2 0\n1\n\n", "line 2: header says k=2 but spine has 1 vertices"),
+    ("book", "BOOK 0 2 2\n1 2\n3\n", "line 3: header says 2 pages but found 1"),
+    ("book", "BOOK 0 2 2\n1 2\n", "header says 2 pages but found 0"),
+    ("book", "BOOK 0 2 0\n2 1\n\n", "line 2: spine vertices must be strictly ascending"),
+    ("book", "BOOK 0 2 2\n1 2\n4 3\n", "line 3: page vertices must be strictly ascending"),
+    ("book", "BOOK 0 2 1\n1 2\n3\nBOOK 0 2 1\n1 2\n3\n",
+     "line 4: unexpected line after the page line"),
+]
+
+
+class TestParseRefusals:
+    @pytest.mark.parametrize("kind, text, message", _REFUSED_FILES)
+    def test_refused_with_one_line(self, kind, text, message, tmp_path, capsys):
+        path = tmp_path / f"input.{kind}"
+        path.write_text(text)
+        knc = tmp_path / "c.knc"
+        knc.write_text(emit_colouring(all_one_colour(5)))
+        argv = {
+            "knc": ["book", "--input", str(path), "--k", "2"],
+            "knsc": ["construct", "hblowup", "--base", str(path), "--n", "1", "--k", "3"],
+            "book": ["verify", "--input", str(knc), "--cert", str(path), "--n", "0"],
+        }[kind]
+        code, out = run(argv)
+        assert code == EXIT_USAGE and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 class TestConstructCommand:
     def test_random_is_reproducible(self):
         a = run(["construct", "random", "--N", "30", "--seed", "5"])

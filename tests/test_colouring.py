@@ -363,9 +363,25 @@ def _edge_pos(u, v):
 
 class TestHyperColouring:
     def test_rank_matches_enumeration(self):
-        for n, s in ((6, 3), (7, 4)):
-            for i, e in enumerate(itertools.combinations(range(n), s)):
-                assert _subset_rank(e, n, s) == i
+        for n in range(3, 13):
+            for s in range(3, min(n, 6) + 1):
+                for i, e in enumerate(itertools.combinations(range(n), s)):
+                    assert _subset_rank(e, n, s) == i
+
+    @pytest.mark.parametrize(
+        "t, match",
+        [
+            ((0, 2, 1), "not a sorted 3-subset"),
+            ((0, 1, 1), "not a sorted 3-subset"),
+            ((0, 1), "not a sorted 3-subset"),
+            ((0, 1, 2, 3), "not a sorted 3-subset"),
+            ((-1, 0, 1), "out of range"),
+            ((0, 1, 5), "out of range"),
+        ],
+    )
+    def test_rank_refusals(self, t, match):
+        with pytest.raises(ValueError, match=match):
+            _subset_rank(t, 5, 3)
 
     def test_roundtrip(self):
         import random as _r
@@ -433,3 +449,32 @@ class TestCertificateIO:
     def test_errors(self, text):
         with pytest.raises(FormatError):
             parse_certificate(text)
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("", None),
+            ("# only a comment\n", None),
+            ("BOOK 0 2 1\n", None),
+            ("BOOK 0 2 1\n1 2\n", None),  # a missing page line reads as empty
+            ("# c\nBOKK 0 2 0\n1 2\n\n", 2),
+            ("# c\nBOOK 0 x 0\n1 2\n\n", 2),
+            ("# note\nBOOK 0 2 1\n1 x\n3\n", 3),
+            ("BOOK 0 2 1\n# c\n1 2\n# d\n3 y\n", 5),
+            ("# c\n# d\nBOOK 0 3 0\n1 2\n\n", 4),
+            ("# c\n# d\nBOOK 0 2 1\n1 2\n5 4\n", 5),
+            ("BOOK 0 2 0\n# c\n2 1\n\n", 3),
+            ("BOOK 0 2 2\n1 2\n# c\n5 4\n", 4),
+            ("BOOK 0 2 1\n1 2\n3\nBOOK 0 2 1\n1 2\n3\n", 4),
+            ("BOOK 0 2 0\n1 2\n\n# c\n\n", 5),
+        ],
+    )
+    def test_errors_name_lines(self, text, line):
+        # file lines, comments counted; none when the line is missing
+        with pytest.raises(FormatError) as err:
+            parse_certificate(text)
+        assert err.value.line == line
+        assert str(err.value).startswith("line ") == (line is not None)
+
+    def test_comments_after_the_page_line(self):
+        assert parse_certificate("BOOK 0 2 1\n1 2\n3\n# end\n") == BookCertificate(0, (0, 1), (2,))

@@ -112,6 +112,11 @@ class TestRamseyBook:
         assert not has_mono_book(res.witness, 2, 1)
         assert res.witness.n == res.lower == 5
 
+    def test_results_are_deterministic(self):
+        # a result holds no wall time, so two identical searches give equal ones
+        assert ramsey_book(2, 1) == ramsey_book(2, 1)
+        assert find_witness(2, 1, 5) == find_witness(2, 1, 5)
+
     def test_bracket_invariants(self):
         res = ramsey_book(1, 2)
         assert res.upper == res.lower + 1
