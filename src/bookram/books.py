@@ -63,10 +63,21 @@ def max_book(col: Colouring, k: int) -> BookCertificate | None:
     "No spine" is distinct from a 0-page certificate.  Colours ascending, one
     per task of ``_map_colours``, and the first row-major maximum inside a
     colour, which is its lexicographically smallest best spine.
+
+    A circulant colouring (``Colouring.is_circulant``) is searched through
+    the spines through vertex 0 alone, with the same certificate.  Rotation
+    maps every colour onto itself and keeps page counts, so rotating a spine
+    of colour c by its smallest vertex gives a spine of c through 0 with as
+    many pages: each colour's best page count, and whether it has a spine at
+    all, are those of its spines through 0.  A spine through 0 begins with 0,
+    so it is lexicographically smaller than every spine that avoids 0, and a
+    colour's smallest best spine goes through 0.  So the first row-major
+    maximum of the vertex-0 blocks is the full search's.
     """
     if k < 1:
         raise ValueError("spine size must be at least 1")
-    return _certificate(col, _first_best(_map_colours(col, lambda c: _max_book_colour(col, k, c))))
+    stop = 1 if col.is_circulant() else col.n
+    return _certificate(col, _first_best(_map_colours(col, lambda c: _max_book_colour(col, k, c, stop))))
 
 
 def _certificate(col: Colouring, found) -> BookCertificate | None:
@@ -101,11 +112,12 @@ def _first_best(found):
     return max((f for f in found if f is not None), key=lambda f: f[0], default=None)
 
 
-def _max_book_colour(col: Colouring, k: int, c: int):
-    """Best (pages, c, spine) of colour c alone, or None when it has no spine;
-    the best so far is the bar of the descent."""
+def _max_book_colour(col: Colouring, k: int, c: int, stop: int):
+    """Best (pages, c, spine) of colour c among the spines whose smallest
+    vertex is below ``stop``, or None when there is no such spine; the best
+    so far is the bar of the descent."""
     best = None
-    for block in _spine_blocks(col.dense(c), k, lambda: -1 if best is None else best[0]):
+    for block in _spine_blocks(col.dense(c), k, lambda: -1 if best is None else best[0], stop):
         best = _block_best(best, c, block)
     return best
 
@@ -175,16 +187,18 @@ def _map_colours(col: Colouring, task) -> list:
         return list(pool.map(task, range(col.q)))
 
 
-def _spine_blocks(a: np.ndarray, k: int, bar=lambda: -1):
-    """The size-k spines (cliques) of the 0/1 matrix ``a`` as blocks (heads,
+def _spine_blocks(a: np.ndarray, k: int, bar=lambda: -1, stop: int | None = None):
+    """The size-k spines (cliques) of the 0/1 matrix ``a`` whose smallest
+    vertex is below ``stop`` (every spine when None) as blocks (heads,
     labels, pages, mask): each True ``mask[r, j]`` is the spine ``(*heads[r],
     labels[j])`` with ``pages[r, j]`` pages, an exact float32 (counts are
     below 2^24).  No spine is in two blocks, and blocks and their row-major
     entries come in lexicographic order.  A spine is left out only when, as
     its branch is reached, the branch cannot have more than ``bar()`` pages.
 
-    k=1 is the degree row and k=2 the product ``a @ a.T`` (a is symmetric,
-    and numpy runs ``x @ x.T`` as a symmetric rank-k update).  For k >= 3 the
+    k=1 is the degree row and k=2 the product ``a[:stop] @ a.T`` (a is
+    symmetric, and numpy runs ``x @ x.T`` as a symmetric rank-k update, a
+    row slice of x included when it keeps every row).  For k >= 3 the
     blocks come per smallest spine vertex u, ascending, from B, the rows of
     u's later neighbours restricted to its neighbours, and E, the upper
     triangle of edges among them.  From R = B and C = E, each of k-3 levels
@@ -197,20 +211,23 @@ def _spine_blocks(a: np.ndarray, k: int, bar=lambda: -1):
     against 0.29 s on two).
     """
     n = len(a)
+    if stop is None:
+        stop = n
     if k == 1:
-        pages = a.sum(1, dtype=np.float32)[None]
-        yield np.empty((1, 0), int), np.arange(n), pages, np.ones(pages.shape, bool)
+        pages = a[:stop].sum(1, dtype=np.float32)[None]
+        yield np.empty((1, 0), int), np.arange(stop), pages, np.ones(pages.shape, bool)
         return
     if k == 2:
         edge = a.astype(np.float32)
-        yield np.arange(n)[:, None], np.arange(n), edge @ edge.T, np.triu(a.view(bool), 1)
+        pages = edge[:stop] @ edge.T
+        yield np.arange(stop)[:, None], np.arange(n), pages, np.triu(a[:stop].view(bool), 1)
         return
     degree = a.sum(1, dtype=np.int64)
     # its leading square blocks are the strict upper triangles of every size
     # up to the largest number of later neighbours
     upper = np.triu(np.ones((degree.max(),) * 2, bool), 1)
     with _one_blas_thread():
-        for u in range(n - k + 1):
+        for u in range(min(stop, n - k + 1)):
             # every page of a spine through u is one of its other neighbours
             if degree[u] - (k - 1) <= bar():
                 continue
@@ -304,7 +321,9 @@ def verify_certificate(col: Colouring, cert: BookCertificate, n: int) -> Verdict
 
 def local_profile(col: Colouring, k: int) -> BookProfile:
     """Exact per-colour histogram of page counts over all size-k spines,
-    together with the best certificate (same tie rules as ``max_book``)."""
+    together with the best certificate (same tie rules as ``max_book``).
+    The histogram counts every spine, so a circulant colouring takes no
+    vertex-0 shortcut here."""
     if k < 1:
         raise ValueError("spine size must be at least 1")
     per_colour = _map_colours(col, lambda c: _profile_colour(col, k, c))

@@ -84,6 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = gsub.add_parser("random", help="seeded uniform red/blue colouring")
     g.add_argument("--N", type=int, required=True, dest="size")
     g.add_argument("--seed", type=int, required=True)
+    g = gsub.add_parser("paley", help="Paley colouring of K_q for a prime q = 1 mod 4")
+    g.add_argument("--q", type=int, required=True)
     g = gsub.add_parser("blowup", help="multicolour blow-up of a base colouring")
     g.add_argument("--base", default=None, help="KNC file; bundled pentagon when omitted")
     g.add_argument("--n", type=int, required=True, help="part size")
@@ -194,6 +196,9 @@ def _dispatch(args, out) -> int:
         if args.generator == "random":
             col = constructions.random_colouring(args.size, args.seed)
             out.write(emit_colouring(col))
+            return EXIT_OK
+        if args.generator == "paley":
+            out.write(emit_colouring(constructions.paley_colouring(args.q)))
             return EXIT_OK
         if args.generator == "blowup":
             base = (

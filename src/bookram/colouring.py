@@ -117,6 +117,18 @@ class Colouring:
     def edge_count(self, c: int) -> int:
         return sum(row.bit_count() for row in self.adj[c]) // 2
 
+    def is_circulant(self) -> bool:
+        """True iff in every colour row i is row 0 rotated by i (bit v of row
+        i is bit v - i mod n of row 0), so that v -> v + 1 mod n maps every
+        colour onto itself.  At most (n - 1) q big-int comparisons, row by
+        row: a colouring that is not circulant usually fails at row 1."""
+        n, full = self.n, self.full_mask()
+        for i in range(1, n):
+            for rows in self.adj:
+                if rows[i] != ((rows[0] << i) | (rows[0] >> (n - i))) & full:
+                    return False
+        return True
+
     def validate(self) -> None:
         """Check the colour-partition, symmetry and diagonal invariants."""
         if self.n < 1:
@@ -217,7 +229,7 @@ def parse_colouring(text: str) -> Colouring:
         rows.append(row)
         linenos.append(lineno)
     if n is None:
-        raise FormatError("missing KNC header", 1)
+        raise FormatError("missing KNC header")
     digits = _check_digits(rows, linenos, q)
     if len(rows) != n - 1:
         raise FormatError(f"expected {n - 1} data rows, found {len(rows)}")
@@ -441,7 +453,7 @@ def parse_hypercolouring(text: str) -> HyperColouring:
             raise FormatError(f"hypergraph colour {c} not in {{0,1}}", lineno)
         colours.append(c)
     if not header_done:
-        raise FormatError("missing KNSC header", 1)
+        raise FormatError("missing KNSC header")
     if len(colours) != comb(n, s):
         raise FormatError(f"expected {comb(n, s)} edge lines, found {len(colours)}")
     return HyperColouring(n, s, tuple(colours))

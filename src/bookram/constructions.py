@@ -1,16 +1,16 @@
 """Lower-bound colouring generators paired with exact verifiers.
 
-Covers seeded random colourings, the multicolour blow-up (template colouring
-on t parts, internal edges get a fresh colour), and the s-uniform hypergraph
-blow-up with its three-case edge rule, plus maximum-book analysis for
-hypergraphs.
+Covers seeded random colourings, the Paley colourings of prime order, the
+multicolour blow-up (template colouring on t parts, internal edges get a
+fresh colour), and the s-uniform hypergraph blow-up with its three-case edge
+rule, plus maximum-book analysis for hypergraphs.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -30,13 +30,32 @@ _BASE_TRIES = 100_000
 
 
 def pentagon_colouring() -> Colouring:
-    """The bundled blow-up base: red 5-cycle 0-1-2-3-4-0, blue complement.
+    """The bundled blow-up base: red 5-cycle 0-1-2-3-4-0, blue complement,
+    which is the Paley colouring P_5.
 
     Self-complementary and triangle-free in both colours.
     """
-    return Colouring.from_edge_colours(
-        5, 2, lambda u, v: 0 if (v - u) in (1, 4) else 1
-    )
+    return paley_colouring(5)
+
+
+def paley_colouring(p: int) -> Colouring:
+    """The Paley colouring P_p of K_p for a prime p = 1 (mod 4): edge (u, v)
+    is red where v - u is a nonzero square mod p, blue otherwise (-1 is a
+    square, so the rule is symmetric).  Every edge has (p - 5) / 4 common
+    neighbours in its own colour (Rousseau and Sheehan, 1978)."""
+    if p > MAX_GENERATED_VERTICES:
+        raise ValueError(f"P_{p} has more vertices than the cap of {MAX_GENERATED_VERTICES}")
+    if p < 5 or p % 4 != 1 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"{p} is not a prime congruent to 1 mod 4")
+    square = np.zeros(p, dtype=bool)
+    square[np.arange(1, p, dtype=np.int64) ** 2 % p] = True
+    # colour of every difference d = v - u over two periods, 2 (no colour) at d = 0
+    colours = np.tile(np.where(square, 0, 1).astype(np.uint8), 2)
+    colours[[0, p]] = 2
+    # row u is colours[p - u : 2p - u], the window starting at p - u; a view,
+    # so the N-by-N matrix is never built
+    windows = np.lib.stride_tricks.sliding_window_view(colours, p)
+    return Colouring.from_matrix(windows[p:0:-1], 2)
 
 
 def random_colouring(size: int, seed: int) -> Colouring:

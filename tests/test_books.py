@@ -1,9 +1,11 @@
 """Maximum-book extraction, certificate checking, and the page profile."""
 
 import itertools
+import math
 import random
 import threading
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +28,12 @@ from bookram.colouring import (
     count_mono_cliques,
     mask_of,
 )
-from bookram.constructions import multicolour_blowup, pentagon_colouring, random_colouring
+from bookram.constructions import (
+    multicolour_blowup,
+    paley_colouring,
+    pentagon_colouring,
+    random_colouring,
+)
 
 from conftest import all_one_colour, random_small
 
@@ -181,26 +188,129 @@ def pentagon_adj(c):
     return pentagon_colouring().adj[c]
 
 
-def paley_colouring(q: int) -> Colouring:
-    """Paley colouring of K_q for a prime q = 1 mod 4: red where the
-    difference of the endpoints is a nonzero square mod q."""
-    squares = {x * x % q for x in range(1, q)}
-    return Colouring.from_edge_colours(q, 2, lambda u, v: 0 if (v - u) in squares else 1)
+#: Primes p = 1 (mod 4) up to 1021, the orders of the Paley colourings here.
+PALEY_PRIMES = [p for p in range(5, 1022, 4) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def _full_path(col: Colouring, k: int) -> BookCertificate | None:
+    """``max_book`` with the circulant check answering False, so every
+    smallest spine vertex is walked."""
+    with mock.patch.object(Colouring, "is_circulant", lambda self: False):
+        return max_book(col, k)
+
+
+@st.composite
+def circulants(draw):
+    """A random circulant colouring of K_n, n <= 40, in q <= 3 colours: the
+    colour of edge (u, v) depends on the distance min(v - u, u - v) mod n."""
+    n, q = draw(st.integers(1, 40)), draw(st.integers(2, 3))
+    by_distance = draw(st.lists(st.integers(0, q - 1), min_size=n // 2, max_size=n // 2))
+    return Colouring.from_edge_colours(
+        n, q, lambda u, v: by_distance[min((v - u) % n, (u - v) % n) - 1]
+    )
+
+
+def _flipped(col: Colouring, u: int, v: int) -> Colouring:
+    """``col`` with the 2-colour edge (u, v) given the other colour."""
+    matrix = col.matrix()
+    matrix[u, v] = matrix[v, u] = 1 - matrix[u, v]
+    return Colouring.from_matrix(matrix, 2)
 
 
 class TestPaleyOracle:
     # Rousseau and Sheehan: every edge of P_q has exactly (q - 5)/4 common
     # neighbours in its own colour, so that is the maximum k=2 book
-    @pytest.mark.parametrize("q", [101, 1021])
+    @pytest.mark.parametrize("q", PALEY_PRIMES)
     def test_max_book_k2_closed_form(self, q):
-        cert = max_book(paley_colouring(q), 2)
+        col = paley_colouring(q)
+        cert = max_book(col, 2)
         assert cert.colour == 0
         assert cert.page_count == (q - 5) // 4
+        assert verify_certificate(col, cert, cert.page_count).ok
+
+    # the maximum k=3 books measured on the full path
+    @pytest.mark.parametrize(
+        "q, pages",
+        [(13, 0), (17, 0), (29, 2), (37, 4), (41, 4), (53, 6), (61, 6), (101, 12), (1021, 132)],
+    )
+    def test_max_book_k3_measured(self, q, pages):
+        col = paley_colouring(q)
+        cert = max_book(col, 3)
+        assert cert.colour == 0 and cert.page_count == pages
+        assert verify_certificate(col, cert, pages).ok
+
+    @pytest.mark.parametrize("q", [q for q in PALEY_PRIMES if q <= 257])
+    def test_max_book_k4_equals_full_path(self, q):
+        col = paley_colouring(q)
+        assert max_book(col, 4) == _full_path(col, 4)
 
     def test_dense_equals_bitset(self):
         col = paley_colouring(197)
         for k in (2, 3):
             assert _max_book_dense(col, k) == _max_book_bitset(col, k)
+
+
+def _walked(monkeypatch):
+    """Record the ``stop`` of every ``_spine_blocks`` call, and the smallest
+    spine vertex of every row of the blocks it yields."""
+    stops, firsts = [], set()
+    blocks = books._spine_blocks
+
+    def recorded(a, k, bar=lambda: -1, stop=None):
+        stops.append(stop)
+        for heads, labels, pages, mask in blocks(a, k, bar, stop):
+            firsts.update(map(int, heads[:, 0] if heads.shape[1] else labels))
+            yield heads, labels, pages, mask
+
+    monkeypatch.setattr(books, "_spine_blocks", recorded)
+    return stops, firsts
+
+
+class TestCirculant:
+    @given(circulants(), st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_certificate_equals_full_path(self, col, k):
+        assert col.is_circulant()
+        cert = max_book(col, k)
+        assert cert == _full_path(col, k)
+        assert _oracle_form(cert) == _max_book_bitset(col, k)
+
+    def test_check(self, pentagon):
+        assert pentagon.is_circulant() and all_one_colour(9).is_circulant()
+        assert all_one_colour(1).is_circulant()
+        assert not random_colouring(64, 1).is_circulant()
+        # the blow-up is block-major: vertex v lies in part v // 2
+        assert not multicolour_blowup(pentagon, 2).is_circulant()
+
+    @pytest.mark.parametrize("u, v", [(0, 1), (3, 17), (27, 28)])
+    def test_flipped_edge_takes_the_full_path(self, u, v, monkeypatch):
+        # rows u and v alone stop being rotations of row 0, so the check
+        # reads on to row u, and the best spine may avoid vertex 0
+        col = _flipped(paley_colouring(29), u, v)
+        assert not col.is_circulant()
+        stops, _ = _walked(monkeypatch)
+        for k in (2, 3, 4):
+            cert = max_book(col, k)
+            assert cert == _full_path(col, k)
+            assert _oracle_form(cert) == _max_book_bitset(col, k)
+        assert set(stops) == {col.n}
+
+    def test_max_book_walks_vertex_zero_alone(self, monkeypatch):
+        stops, firsts = _walked(monkeypatch)
+        for k in (1, 2, 3, 4):
+            max_book(paley_colouring(29), k)
+        assert stops == [1, 1] * 4 and firsts == {0}
+        for k in (1, 2, 3, 4):
+            max_book(random_colouring(29, 1), k)
+        assert stops[8:] == [29, 29] * 4 and len(firsts) > 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_local_profile_walks_every_vertex(self, k, monkeypatch):
+        col = paley_colouring(37)
+        stops, firsts = _walked(monkeypatch)
+        assert _profile_dense(col, k) == _profile_enumerate(col, k)
+        assert stops == [None, None] and len(firsts) > 1
+        assert local_profile(col, k).best == max_book(col, k)
 
 
 def _in_threads(monkeypatch):

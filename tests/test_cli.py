@@ -14,7 +14,7 @@ from bookram.cli import (
     main,
 )
 from bookram.colouring import emit_certificate, emit_colouring, parse_colouring
-from bookram.constructions import pentagon_colouring
+from bookram.constructions import paley_colouring, pentagon_colouring
 from bookram.books import max_book
 
 from conftest import all_one_colour
@@ -179,7 +179,8 @@ _REFUSED_FILES = [
     ("knc", "KNC 1 3 2\n02\n0\n", "line 2: bad colour digit '2' for q=2"),
     ("knc", "KNC 1 3 2\n00\n0\n0\n", "line 4: unexpected extra data line"),
     ("knc", "KNC 1 3 2\n0\n0\n", "line 2: row for vertex 1 has 1 digits, expected 2"),
-    ("knc", "# only a comment\n", "line 1: missing KNC header"),
+    ("knc", "# only a comment\n", "missing KNC header"),
+    ("knc", "", "missing KNC header"),
     ("knc", "KNC 1 3 2\n00\n", "expected 2 data rows, found 1"),
     ("knsc", "KNSC 2 4 3\n", "line 1: expected header"),
     ("knsc", "KNSC 1 4 x\n", "line 1: non-integer N or s in header"),
@@ -191,7 +192,7 @@ _REFUSED_FILES = [
     ("knsc", "KNSC 1 3 3\n1 2 3 0\n1 2 3 0\n", "line 3: unexpected extra edge line"),
     ("knsc", "KNSC 1 4 3\n1 2 4 0\n", "line 2: edge out of lexicographic order"),
     ("knsc", "KNSC 1 3 3\n1 2 3 2\n", "line 2: hypergraph colour 2 not in {0,1}"),
-    ("knsc", "", "line 1: missing KNSC header"),
+    ("knsc", "", "missing KNSC header"),
     ("knsc", "KNSC 1 4 3\n1 2 3 0\n", "expected 4 edge lines, found 1"),
     ("book", "", "empty certificate"),
     ("book", "BOOK 0 2\n1 2\n\n", "line 1: expected header"),
@@ -241,7 +242,11 @@ class TestConstructCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        [["construct", "random", "--N", "16", "--seed", "1"], ["construct", "blowup", "--n", "4"]],
+        [
+            ["construct", "random", "--N", "16", "--seed", "1"],
+            ["construct", "blowup", "--n", "4"],
+            ["construct", "paley", "--q", "17"],
+        ],
     )
     def test_vertex_cap_refused(self, argv, monkeypatch, capsys):
         # checked against a small cap, so a missing check allocates little
@@ -249,6 +254,16 @@ class TestConstructCommand:
         code, text = run(argv)
         assert code == EXIT_USAGE and text == ""
         assert "15" in capsys.readouterr().err
+
+    def test_paley(self):
+        code, text = run(["construct", "paley", "--q", "13"])
+        assert code == EXIT_OK and text == emit_colouring(paley_colouring(13))
+
+    @pytest.mark.parametrize("q", ["15", "1", "-3", "7"])
+    def test_paley_refuses_non_primes_1_mod_4(self, q, capsys):
+        code, text = run(["construct", "paley", "--q", q])
+        assert code == EXIT_USAGE and text == ""
+        assert "not a prime congruent to 1 mod 4" in capsys.readouterr().err
 
     def test_blowup_of_ten_colours_refused(self, tmp_path, capsys):
         # the blow-up adds an eleventh colour, which KNC cannot hold

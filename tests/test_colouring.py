@@ -70,6 +70,8 @@ class TestParseColouring:
             ("KNC 1 3 2\n00\n0\n0\n", 4),
             ("KNC 1 3 2\n02\n0\n", 2),
             ("KNC 1 3 2\n00\n", None),
+            ("", None),  # no header, and no line to name
+            ("# only a comment\n", None),
             ("KNC 1 2 2\n\u0661\n", 2),  # Arabic-Indic one: a digit, not ASCII
             ("KNC 1 2 2\n\u00b2\n", 2),  # superscript two: isdigit() but no int()
         ],

@@ -25,6 +25,7 @@ from bookram.constructions import (
     hyper_max_book,
     hypergraph_blowup,
     multicolour_blowup,
+    paley_colouring,
     pentagon_colouring,
     random_colouring,
     search_hypergraph_base,
@@ -109,6 +110,46 @@ class TestRandomColouring:
             means.append(sum(counts) / len(counts))
         # each mean has std ~ sqrt(E)/2/sqrt(30); allow 8 of those
         assert abs(means[0] - means[1]) < 8 * (edges**0.5 / 2) / 30**0.5
+
+
+class TestPaleyColouring:
+    @pytest.mark.parametrize("p", [5, 13, 17, 29, 101, 257, 1021])
+    def test_equals_the_difference_rule(self, p):
+        # red where v - u is a nonzero square mod p, edge by edge
+        squares = {x * x % p for x in range(1, p)}
+        want = Colouring.from_edge_colours(p, 2, lambda u, v: 0 if (v - u) % p in squares else 1)
+        col = paley_colouring(p)
+        assert col == want
+        col.validate()
+
+    def test_p5_is_the_pentagon(self):
+        # red 5-cycle 0-1-2-3-4-0, blue complement
+        cycle = Colouring.from_edge_colours(5, 2, lambda u, v: 0 if v - u in (1, 4) else 1)
+        assert paley_colouring(5) == pentagon_colouring() == cycle
+
+    @pytest.mark.parametrize("p", [-5, 0, 1, 2, 3, 7, 9, 15, 21, 25, 1023])
+    def test_refuses_all_but_primes_1_mod_4(self, p):
+        with pytest.raises(ValueError, match="not a prime congruent to 1 mod 4"):
+            paley_colouring(p)
+
+    def test_vertex_cap(self, monkeypatch):
+        # checked against a small cap, before the primality test
+        monkeypatch.setattr(constructions, "MAX_GENERATED_VERTICES", 12)
+        assert paley_colouring(5).n == 5
+        with pytest.raises(ValueError, match="12"):
+            paley_colouring(13)
+
+    def test_peak_memory_below_one_matrix(self):
+        # rows come from views of one doubled difference row, a strip at a
+        # time, so no p-by-p array is built
+        p = 2053
+        tracemalloc.start()
+        try:
+            paley_colouring(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p * p
 
 
 class TestMulticolourBlowup:
