@@ -173,19 +173,44 @@ def _unpack_rows(rows, n: int) -> np.ndarray:
     return np.unpackbits(raw.reshape(-1, nbytes), axis=1, count=n, bitorder="little")
 
 
-def _check_digits(rows: list[str], linenos: list[int], q: int) -> np.ndarray:
+def _check_digits(rows: list[str], lines, q: int) -> np.ndarray:
     """Colour digits of the data rows in file order, or FormatError naming the
-    first line holding anything but an ASCII digit below q."""
+    first line holding anything but an ASCII digit below q; ``lines`` holds
+    the rows' (file line, text) pairs."""
     # each non-ASCII character becomes one '?', and everything outside '0'..'9'
     # wraps to 10 or more, so one comparison checks the whole file
     digits = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8) - 48
     if (digits >= q).any():
         allowed = "0123456789"[:q]
-        for row, lineno in zip(rows, linenos):
+        for row, (lineno, _) in zip(rows, lines):
             for ch in row:
                 if ch not in allowed:
                     raise FormatError(f"bad colour digit {ch!r} for q={q}", lineno)
     return digits
+
+
+def _read_header(text: str, spelling: str, missing: str, non_integer: str):
+    """Split a KNC, KNSC or BOOK text at its header line, the first line that
+    is not a comment (lines starting with ``#`` are comments anywhere).
+
+    ``spelling`` is the header with its integer fields in angle brackets,
+    such as ``KNC 1 <N> <q>``.  Returns the header's file line, its integer
+    fields, and the (file line, text) pairs of the non-comment lines after
+    it; file lines count comments.  A text with no non-comment line raises
+    FormatError(``missing``), naming no line.
+    """
+    lines = [(no, l) for no, l in enumerate(text.splitlines(), start=1) if not l.startswith("#")]
+    if not lines:
+        raise FormatError(missing)
+    head_no, head = lines[0]
+    parts, words = head.split(), spelling.split()
+    if len(parts) != len(words) or any(p != w for p, w in zip(parts, words) if w[0] != "<"):
+        raise FormatError(f"expected header '{spelling}'", head_no)
+    try:
+        fields = [int(p) for p, w in zip(parts, words) if w[0] == "<"]
+    except ValueError:
+        raise FormatError(non_integer, head_no) from None
+    return head_no, fields, lines[1:]
 
 
 def parse_colouring(text: str) -> Colouring:
@@ -195,42 +220,26 @@ def parse_colouring(text: str) -> Colouring:
     holding N-i digits, digit j giving the colour of edge (i, i+j).  Lines
     starting with ``#`` are comments.
     """
-    n = q = None
+    head_no, (n, q), lines = _read_header(
+        text, "KNC 1 <N> <q>", "missing KNC header", "non-integer N or q in header"
+    )
+    if n < 1:
+        raise FormatError(f"vertex count {n} < 1", head_no)
+    if not 2 <= q <= 10:
+        raise FormatError(f"colour count {q} outside 2..10", head_no)
     rows: list[str] = []
-    linenos: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith("#"):
-            continue
-        if n is None:
-            parts = raw.split()
-            if len(parts) != 4 or parts[0] != "KNC" or parts[1] != "1":
-                raise FormatError("expected header 'KNC 1 <N> <q>'", lineno)
-            try:
-                n, q = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise FormatError("non-integer N or q in header", lineno) from None
-            if n < 1:
-                raise FormatError(f"vertex count {n} < 1", lineno)
-            if not 2 <= q <= 10:
-                raise FormatError(f"colour count {q} outside 2..10", lineno)
-            continue
-        # a bad digit on an earlier line is reported before a structural error
-        if len(rows) >= n - 1:
-            _check_digits(rows, linenos, q)
-            raise FormatError("unexpected extra data line", lineno)
-        i = len(rows)
+    for i, (lineno, raw) in enumerate(lines):
         row = raw.strip()
-        if len(row) != n - 1 - i:
-            _check_digits(rows, linenos, q)
+        if i == n - 1 or len(row) != n - 1 - i:
+            # a bad digit on an earlier line is reported before a structural error
+            _check_digits(rows, lines, q)
+            if i == n - 1:
+                raise FormatError("unexpected extra data line", lineno)
             raise FormatError(
-                f"row for vertex {i + 1} has {len(row)} digits, expected {n - 1 - i}",
-                lineno,
+                f"row for vertex {i + 1} has {len(row)} digits, expected {n - 1 - i}", lineno
             )
         rows.append(row)
-        linenos.append(lineno)
-    if n is None:
-        raise FormatError("missing KNC header")
-    digits = _check_digits(rows, linenos, q)
+    digits = _check_digits(rows, lines, q)
     if len(rows) != n - 1:
         raise FormatError(f"expected {n - 1} data rows, found {len(rows)}")
     # the row-major upper triangle is exactly the KNC digit order (and the
@@ -411,30 +420,19 @@ def _subset_rank(t: tuple[int, ...], n: int, s: int) -> int:
 def parse_hypercolouring(text: str) -> HyperColouring:
     """Parse the KNSC format: header ``KNSC 1 <N> <s>`` then one line per
     s-set in lexicographic order, ``v1 v2 ... vs c`` with 1-based vertices."""
-    n = s = None
-    header_done = False
-    expected = None
+    head_no, (n, s), lines = _read_header(
+        text, "KNSC 1 <N> <s>", "missing KNSC header", "non-integer N or s in header"
+    )
+    if s < 3:
+        raise FormatError(f"uniformity {s} < 3", head_no)
+    if n < s:
+        raise FormatError(f"vertex count {n} < s", head_no)
+    if comb(n, s) > HYPER_ENTRY_CAP:
+        raise FormatError(f"C({n},{s}) exceeds cap {HYPER_ENTRY_CAP}", head_no)
+    expected = itertools.combinations(range(n), s)
     colours: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith("#"):
-            continue
+    for lineno, raw in lines:
         parts = raw.split()
-        if not header_done:
-            if len(parts) != 4 or parts[0] != "KNSC" or parts[1] != "1":
-                raise FormatError("expected header 'KNSC 1 <N> <s>'", lineno)
-            try:
-                n, s = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise FormatError("non-integer N or s in header", lineno) from None
-            if s < 3:
-                raise FormatError(f"uniformity {s} < 3", lineno)
-            if n < s:
-                raise FormatError(f"vertex count {n} < s", lineno)
-            if comb(n, s) > HYPER_ENTRY_CAP:
-                raise FormatError(f"C({n},{s}) exceeds cap {HYPER_ENTRY_CAP}", lineno)
-            expected = itertools.combinations(range(n), s)
-            header_done = True
-            continue
         if len(parts) != s + 1:
             raise FormatError(f"expected {s} vertices and a colour", lineno)
         try:
@@ -452,8 +450,6 @@ def parse_hypercolouring(text: str) -> HyperColouring:
         if c not in (0, 1):
             raise FormatError(f"hypergraph colour {c} not in {{0,1}}", lineno)
         colours.append(c)
-    if not header_done:
-        raise FormatError("missing KNSC header")
     if len(colours) != comb(n, s):
         raise FormatError(f"expected {comb(n, s)} edge lines, found {len(colours)}")
     return HyperColouring(n, s, tuple(colours))
@@ -488,21 +484,13 @@ def parse_certificate(text: str) -> BookCertificate:
     and the page line (vertices ascending, 1-based; page line may be empty).
     Nothing but comments may follow the page line.  Errors name file lines,
     and none when the line is missing."""
-    lines = [(no, l) for no, l in enumerate(text.splitlines(), start=1) if not l.startswith("#")]
+    _, (colour, k, npages), lines = _read_header(
+        text, "BOOK <colour> <k> <pages>", "empty certificate", "non-integer header field"
+    )
     if not lines:
-        raise FormatError("empty certificate")
-    head_no, head = lines[0]
-    parts = head.split()
-    if len(parts) != 4 or parts[0] != "BOOK":
-        raise FormatError("expected header 'BOOK <colour> <k> <pages>'", head_no)
-    try:
-        colour, k, npages = int(parts[1]), int(parts[2]), int(parts[3])
-    except ValueError:
-        raise FormatError("non-integer header field", head_no) from None
-    if len(lines) < 2:
         raise FormatError("missing spine line")
     # a missing page line reads as an empty one
-    (spine_no, spine_line), (pages_no, pages_line) = (lines + [(None, "")])[1:3]
+    (spine_no, spine_line), (pages_no, pages_line) = (lines + [(None, "")])[:2]
     try:
         spine = tuple(int(p) - 1 for p in spine_line.split())
     except ValueError:
@@ -519,8 +507,8 @@ def parse_certificate(text: str) -> BookCertificate:
         raise FormatError("spine vertices must be strictly ascending", spine_no)
     if any(pages[i] >= pages[i + 1] for i in range(len(pages) - 1)):
         raise FormatError("page vertices must be strictly ascending", pages_no)
-    if len(lines) > 3:
-        raise FormatError("unexpected line after the page line", lines[3][0])
+    if len(lines) > 2:
+        raise FormatError("unexpected line after the page line", lines[2][0])
     return BookCertificate(colour, spine, pages)
 
 

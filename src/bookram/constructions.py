@@ -138,26 +138,8 @@ def hypergraph_blowup(base: HyperColouring, part_size: int, k: int) -> HyperColo
     return HyperColouring.from_edge_colours(total, base.s, colour_of)
 
 
-def _spine_is_mono(h: HyperColouring, spine, colour: int) -> bool:
-    return all(
-        h.colour_of(e) == colour for e in itertools.combinations(spine, h.s)
-    )
-
-
-def _hyper_pages(h: HyperColouring, spine, colour: int) -> tuple[int, ...]:
-    spine_set = set(spine)
-    pages = []
-    for v in range(h.n):
-        if v in spine_set:
-            continue
-        ok = True
-        for sub in itertools.combinations(spine, h.s - 1):
-            if h.colour_of(sorted(sub + (v,))) != colour:
-                ok = False
-                break
-        if ok:
-            pages.append(v)
-    return tuple(pages)
+def _all_coloured(h: HyperColouring, edges, colour: int) -> bool:
+    return all(h.colour_of(e) == colour for e in edges)
 
 
 def hyper_max_book(h: HyperColouring, k: int) -> BookCertificate | None:
@@ -174,9 +156,15 @@ def hyper_max_book(h: HyperColouring, k: int) -> BookCertificate | None:
     best = None
     for colour in (0, 1):
         for spine in itertools.combinations(range(h.n), k):
-            if not _spine_is_mono(h, spine, colour):
+            if not _all_coloured(h, itertools.combinations(spine, h.s), colour):
                 continue
-            pages = _hyper_pages(h, spine, colour)
+            # v is a page iff each (s-1)-subset of the spine with v has the colour
+            subs = list(itertools.combinations(spine, h.s - 1))
+            pages = tuple(
+                v
+                for v in range(h.n)
+                if v not in spine and _all_coloured(h, (sorted(t + (v,)) for t in subs), colour)
+            )
             if best is None or len(pages) > best[0]:
                 best = (len(pages), colour, spine, pages)
     if best is None:

@@ -5,8 +5,8 @@ The CNF is satisfiable iff K_N has a red/blue edge colouring with no
 monochromatic book of spine size k and n pages.  Edge variables come first
 (true = blue); every k-set and colour gets a mono-spine indicator, page
 indicators, and a sequential-counter cardinality constraint conditioned on
-the indicator.  The header maps variables to edges so models decode back to
-colourings.
+the indicator.  The header comments name each edge variable's edge, as
+``edge_index`` numbers them; ``decode_model`` decodes models through it.
 """
 
 from __future__ import annotations
@@ -177,19 +177,6 @@ def sat_export(k: int, n: int, size: int, clause_cap: int = DEFAULT_CLAUSE_CAP) 
         vals = local[:, slots] * signs
         body.append((fmt * b.size) % tuple(vals.ravel().tolist()))
     return "".join(body)
-
-
-def parse_edge_map(cnf_text: str) -> tuple[int, dict[int, tuple[int, int]]]:
-    """Recover (size, var -> 0-based edge) from the CNF header comments."""
-    var_edge: dict[int, tuple[int, int]] = {}
-    size = 0
-    for line in cnf_text.splitlines():
-        parts = line.split()
-        if len(parts) == 7 and parts[:2] == ["c", "edge"] and parts[4:6] == ["->", "var"]:
-            u, v, t = int(parts[2]) - 1, int(parts[3]) - 1, int(parts[6])
-            var_edge[t] = (u, v)
-            size = max(size, u + 1, v + 1)
-    return size, var_edge
 
 
 def decode_model(size: int, model) -> Colouring:

@@ -182,6 +182,8 @@ _REFUSED_FILES = [
     ("knc", "# only a comment\n", "missing KNC header"),
     ("knc", "", "missing KNC header"),
     ("knc", "KNC 1 3 2\n00\n", "expected 2 data rows, found 1"),
+    ("knc", "# a\n# b\nKNC 1 x 2\n00\n0\n", "line 3: non-integer N or q in header"),
+    ("knc", "\nKNC 1 3 2\n00\n0\n", "line 1: expected header 'KNC 1 <N> <q>'"),
     ("knsc", "KNSC 2 4 3\n", "line 1: expected header"),
     ("knsc", "KNSC 1 4 x\n", "line 1: non-integer N or s in header"),
     ("knsc", "KNSC 1 4 2\n", "line 1: uniformity 2 < 3"),
@@ -194,7 +196,13 @@ _REFUSED_FILES = [
     ("knsc", "KNSC 1 3 3\n1 2 3 2\n", "line 2: hypergraph colour 2 not in {0,1}"),
     ("knsc", "", "missing KNSC header"),
     ("knsc", "KNSC 1 4 3\n1 2 3 0\n", "expected 4 edge lines, found 1"),
+    ("knsc", "# only a comment\n", "missing KNSC header"),
+    ("knsc", "# a\n# b\nKNSC 1 4 x\n", "line 3: non-integer N or s in header"),
+    ("knsc", "\nKNSC 1 3 3\n1 2 3 0\n", "line 1: expected header 'KNSC 1 <N> <s>'"),
     ("book", "", "empty certificate"),
+    ("book", "# only a comment\n", "empty certificate"),
+    ("book", "# a\n# b\nBOOK 0 2 x\n1 2\n\n", "line 3: non-integer header field"),
+    ("book", "\nBOOK 0 2 0\n1 2\n\n", "line 1: expected header 'BOOK <colour> <k> <pages>'"),
     ("book", "BOOK 0 2\n1 2\n\n", "line 1: expected header"),
     ("book", "BOOK 0 2 x\n1 2\n\n", "line 1: non-integer header field"),
     ("book", "# c\nBOOK 0 2 0\n", "missing spine line"),

@@ -304,7 +304,7 @@ class TestHyperMaxBook:
     def test_spine_cap_refused_before_enumerating(self, monkeypatch):
         h = HyperColouring.from_edge_colours(40, 3, lambda e: 0)
         assert comb(40, 10) > HYPER_ENTRY_CAP
-        monkeypatch.setattr(constructions, "_spine_is_mono", lambda *args: pytest.fail("enumerated"))
+        monkeypatch.setattr(constructions, "_all_coloured", lambda *args: pytest.fail("enumerated"))
         with pytest.raises(ValueError, match="cap"):
             hyper_max_book(h, 10)
 
