@@ -118,12 +118,12 @@ def verify_no_book_multicolour(col: Colouring, k: int, page_bound: int) -> Blowu
 def hypergraph_blowup(base: HyperColouring, part_size: int, k: int) -> HyperColouring:
     """s-uniform blow-up: an edge meeting s distinct parts inherits the base
     colour of those parts, an edge inside one part is red, anything else is
-    blue.  The spine size ``k`` the construction targets must be a multiple
-    of the uniformity."""
+    blue.  The spine size ``k`` the construction targets must be a positive
+    multiple of the uniformity."""
     if part_size < 1:
         raise ValueError("part size must be at least 1")
-    if k % base.s != 0:
-        raise ValueError(f"spine size {k} is not a multiple of uniformity {base.s}")
+    if k < 1 or k % base.s != 0:
+        raise ValueError(f"spine size {k} is not a positive multiple of uniformity {base.s}")
     total = base.n * part_size
 
     def colour_of(edge) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,43 +108,43 @@ class LemmaReport:
         return "\n".join(rows) + "\n"
 
 
-def _check_lattice(values: int, dim: int) -> None:
-    """Refuse a lattice of values^dim points whose coordinates pass the cap
-    (values >= 2, so a dim past the cap's bit length always does)."""
+def _lattice(values: int, dim: int) -> np.ndarray:
+    """The points of {0, ..., values - 1}^dim in ``itertools.product`` order,
+    refused when their coordinates pass the cap (values >= 2, so a dim past
+    the cap's bit length always does)."""
     if dim > LATTICE_ENTRY_CAP.bit_length() or values**dim * dim > LATTICE_ENTRY_CAP:
         raise ValueError(
             f"the {values}^{dim}-point lattice passes the cap of {LATTICE_ENTRY_CAP} coordinates"
         )
+    return np.indices((values,) * dim, dtype=np.int8).reshape(dim, -1).T
 
 
-def _scan_margins(blocks, score, tol: float):
-    """Row count, violations, worst margin and its point over the point
-    blocks of ``blocks``, each scored by ``score(points) -> (lhs, rhs)`` and
-    dropped before the next is made.  The worst is the first minimum over
-    all rows, a NaN margin first of all, as one ``argmin`` would give."""
+def _certify(lemma: str, draw, samples: int, fixed, score, tol: float) -> LemmaReport:
+    """Check ``tol``, then call ``fixed()``, which may refuse its lattice,
+    and score ``draw(rows)`` up to ``samples`` rows, then the rows ``fixed()``
+    gave, CHUNK_ROWS at a time by ``score(points) -> (lhs, rhs)``;
+    consecutive draws continue one stream, so they equal one big draw.  The
+    worst is the first minimum over all rows, a NaN margin first of all, as
+    one ``argmin`` would give."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be a finite number > 0")
+    rest = fixed()
+    blocks = itertools.chain(
+        (draw(min(CHUNK_ROWS, samples - at)) for at in range(0, samples, CHUNK_ROWS)),
+        (rest[at : at + CHUNK_ROWS] for at in range(0, rest.shape[0], CHUNK_ROWS)),
+    )
     rows = violations = 0
     minima, points_at = [], []
     for points in blocks:
         lhs, rhs = score(points)
         margins = lhs - rhs
-        scaled = tol * (1.0 + np.abs(lhs))
-        violations += int((margins < -scaled).sum())
+        violations += int((margins < -tol * (1.0 + np.abs(lhs))).sum())
         worst = int(np.argmin(margins))
         minima.append(margins[worst])
         points_at.append(tuple(float(v) for v in points[worst]))
         rows += points.shape[0]
     worst = int(np.argmin(minima))
-    return rows, violations, float(minima[worst]), points_at[worst]
-
-
-def _blocks(draw, samples: int, fixed: np.ndarray):
-    """``draw(rows)`` in CHUNK_ROWS pieces up to ``samples`` rows (consecutive
-    draws continue one stream, so they equal one big draw), then ``fixed``
-    in pieces of the same size."""
-    for start in range(0, samples, CHUNK_ROWS):
-        yield draw(min(CHUNK_ROWS, samples - start))
-    for start in range(0, fixed.shape[0], CHUNK_ROWS):
-        yield fixed[start : start + CHUNK_ROWS]
+    return LemmaReport(lemma, rows, violations, float(minima[worst]), points_at[worst], tol)
 
 
 def dichotomy_certify(
@@ -161,32 +161,28 @@ def dichotomy_certify(
 
     ``bound_offset`` strengthens the bound artificially; the default 0 is the
     proved inequality and should report zero violations.  A k whose lattice
-    passes LATTICE_ENTRY_CAP coordinates is refused before anything is built.
+    passes LATTICE_ENTRY_CAP coordinates, and a t whose max(2, k) * t^k is no
+    finite double, are refused before anything is built.
     """
     if samples < 1 or k < 1:
         raise ValueError("need samples >= 1 and k >= 1")
-    if not 0 < tol < math.inf:
-        raise ValueError("tolerance must be a finite number > 0")
-    _check_lattice(3, k)
+    # a sampled row sums k terms (t - x_i)^k and a product, each at most t^k
+    with np.errstate(over="ignore"):
+        top = max(2, k) * np.float64(t) ** k
+    if not np.isfinite(top):
+        raise ValueError(f"max(2, k) * t^k is not a finite double at k = {k}, t = {t}")
     rng = np.random.default_rng(seed)
-    lattice = np.array(list(itertools.product((0.0, t / 2, t), repeat=k)))
     bound = 2.0 * (t / 2.0) ** k + bound_offset
-    rows, violations, worst_margin, worst_witness = _scan_margins(
-        _blocks(lambda n: rng.uniform(0.0, t, size=(n, k)), samples, lattice),
+    report = _certify(
+        "dichotomy",
+        lambda n: rng.uniform(0.0, t, size=(n, k)),
+        samples,
+        lambda: np.array((0.0, t / 2, t))[_lattice(3, k)],
         lambda pts: (((t - pts) ** k).mean(axis=1) + pts.prod(axis=1), bound),
         tol,
     )
     min_value, argmin = _dichotomy_minimise(k, t)
-    return LemmaReport(
-        lemma="dichotomy",
-        samples=rows,
-        violations=violations,
-        worst_margin=worst_margin,
-        worst_witness=worst_witness,
-        tol=tol,
-        min_value=min_value,
-        argmin=argmin,
-    )
+    return replace(report, min_value=min_value, argmin=argmin)
 
 
 def _dichotomy_minimise(k: int, t: float) -> tuple[float, tuple[float, ...]]:
@@ -263,29 +259,22 @@ def degprod_certify(l: int, k: int, samples: int, seed: int, tol: float) -> Lemm
         raise ValueError("need k <= l")
     if samples < 1 or k < 0 or l < 1:
         raise ValueError("need samples >= 1, l >= 1, k >= 0")
-    if not 0 < tol < math.inf:
-        raise ValueError("tolerance must be a finite number > 0")
-    _check_lattice(2, l)
-    # the uniform samples (random() draws what uniform(0, 1) does), then the
-    # 2^l corners in ``itertools.product`` order, then the extremal family,
-    # for each count of leading ones every fraction i/8
-    corners = 1 << l
-    fixed = np.empty((corners + 7 * l, l), dtype=np.float64)
-    fixed[:corners] = (np.arange(corners)[:, None] >> np.arange(l)[::-1]) & 1
-    extremal = fixed[corners:].reshape(l, 7, l)
-    extremal[:] = np.tri(l, l, -1)[:, None, :]
-    extremal[np.arange(l), :, np.arange(l)] = np.arange(1, 8) / 8.0
     rng = np.random.default_rng(seed)
-    rows, violations, worst_margin, worst_witness = _scan_margins(
-        _blocks(lambda n: rng.random((n, l)), samples, fixed),
+
+    def fixed():
+        # the 2^l corners, then the extremal family: for each count of
+        # leading ones every fraction i/8
+        corners = _lattice(2, l)
+        extremal = np.repeat(np.tri(l, l, -1), 7, axis=0)
+        extremal[np.arange(7 * l), np.repeat(np.arange(l), 7)] = np.tile(np.arange(1, 8) / 8.0, l)
+        return np.vstack([corners, extremal])
+
+    # random() draws what uniform(0, 1) does
+    return _certify(
+        "degprod",
+        lambda n: rng.random((n, l)),
+        samples,
+        fixed,
         lambda pts: (_elementary_symmetric_arr(pts, k), degprod_floor(pts.sum(axis=1), k)),
         tol,
-    )
-    return LemmaReport(
-        lemma="degprod",
-        samples=rows,
-        violations=violations,
-        worst_margin=worst_margin,
-        worst_witness=worst_witness,
-        tol=tol,
     )

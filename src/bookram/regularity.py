@@ -574,30 +574,30 @@ def _transversal_scan(col: Colouring, colour: int, spine_parts, page_parts):
     best: tuple[int, tuple[int, ...], int] | None = None
     count = 0
     total = 0
-    # one level per distinct part, below them a root with the empty pick: the
-    # cliques of that part's copy count among the common neighbours of the
-    # picks of the levels under it
-    picks: list[tuple[int, ...]] = []
-    levels = [iter([((), col.full_mask())])]
-    while levels:
-        found = next(levels[-1], None)
-        if found is None:
-            levels.pop()
-            if picks:
-                picks.pop()
-            continue
-        clique, inter = found
-        if len(levels) <= len(masks):
-            picks.append(clique)
-            mask = masks[len(levels) - 1]
-            levels.append(clique_pages(rows, mask & inter, inter, copies[mask]))
-            continue
+
+    def walk(lo, hi, picks, inter):
+        # the cliques of parts lo .. hi - 1 among the common neighbours of the
+        # picks so far, a leaf as (earlier picks, last clique, neighbours) so
+        # no leaf builds a tuple; halving the range nests log2(parts)
+        # generators, where one per part passes the recursion limit
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            for head, clique, between in walk(lo, mid, picks, inter):
+                yield from walk(mid, hi, (*head, *clique), between)
+        elif hi > lo:
+            mask = masks[lo]
+            for clique, narrowed in clique_pages(rows, mask & inter, inter, copies[mask]):
+                yield picks, clique, narrowed
+        else:
+            yield picks, (), inter  # no parts: one empty spine
+
+    for picks, clique, inter in walk(0, len(masks), (), col.full_mask()):
         pages = inter & page_mask
         size = pages.bit_count()
         count += 1
         total += size
         if best is None or size >= best[0]:
-            spine = tuple(sorted(itertools.chain(clique, *picks)))
+            spine = tuple(sorted(itertools.chain(picks, clique)))
             if best is None or size > best[0] or spine < best[1]:
                 best = (size, spine, pages)
     return best, count, total
@@ -647,12 +647,25 @@ def _find_blowup(reduced: ReducedGraph, verts: list[int], k: int, t_max: int, bl
     ordered by their smallest element."""
     rows = reduced.rows
 
-    def mono_cliques_in(allowed: int, t: int):
-        # the red and the blue t-cliques in allowed, in one lexicographic
-        # stream; a single vertex is a clique of both colours, so t = 1 reads
-        # one of them
+    def blowups(count, allowed, t):
+        # every run of ``count`` parts in ``allowed`` in lexicographic order,
+        # with the vertices a further part may use: those above a part's
+        # smallest joined to it in blue (the blue rows hold no vertex of
+        # their own, so the part is left out too).  Halving the count nests
+        # the generators log2(k) deep, as in _transversal_scan
+        if count > 1:
+            for head, rest in blowups(count // 2, allowed, t):
+                for tail, narrowed in blowups(count - count // 2, rest, t):
+                    yield head + tail, narrowed
+            return
+        # the red and the blue t-cliques in one lexicographic stream; a single
+        # vertex is a clique of both colours, so t = 1 reads one of them
         streams = [clique_pages(r, allowed, allowed, t) for r in rows[: 1 if t == 1 else 2]]
-        return (clique for clique, _ in heapq.merge(*streams))
+        for part, _ in heapq.merge(*streams):
+            narrowed = allowed & -(2 << part[0])
+            for v in part:
+                narrowed &= rows[blue][v]
+            yield (part,), narrowed
 
     for t in range(min(t_max, len(verts) // k if k > 0 else 0), 0, -1):
         # each vertex of a blow-up has t(k - 1) blue neighbours inside it, so
@@ -662,26 +675,9 @@ def _find_blowup(reduced: ReducedGraph, verts: list[int], k: int, t_max: int, bl
             v for v in bits(pool) if (rows[blue][v] & pool).bit_count() < t * (k - 1)
         ):
             pool ^= weak
-        parts: list[tuple[int, ...]] = []
-        # one level per part being chosen: its candidates left, and the
-        # vertices a further part may use (the blue rows hold no vertex of
-        # their own, so a part joined in blue is disjoint from it)
-        levels = [(mono_cliques_in(pool, t), pool)]
-        while levels:
-            cands, allowed = levels[-1]
-            part = next(cands, None)
-            if part is None:
-                levels.pop()
-                if parts:
-                    parts.pop()
-                continue
-            parts.append(part)
-            if len(parts) == k:
-                return t, tuple(parts)
-            allowed &= -(2 << part[0])  # only vertices above its smallest
-            for v in part:
-                allowed &= rows[blue][v]
-            levels.append((mono_cliques_in(allowed, t), allowed))
+        found = next(blowups(k, pool, t), None)
+        if found is not None:
+            return t, found[0]
     return None
 
 
@@ -707,7 +703,7 @@ def extract_book(
     m = part.m
     eta, delta = reduced.eta, reduced.delta
     surv = reduced.survivors()
-    ell = m / 2.0**k
+    ell = math.ldexp(m, -k)  # m / 2.0**k, which overflows from k = 1024
     m_prime = (1.0 - math.sqrt(eta)) * m
     s_min = math.ceil((0.5 - math.sqrt(eta)) * m)
     states = reduced.edge_colours
@@ -823,10 +819,10 @@ def extract_book(
                     f"etable\tv={v}\t"
                     + "\t".join(f"{etab[v][i]:.6f}" for i in range(k))
                 )
-            lhs_red = sum(sum((t - e) ** k for e in etab[v]) for v in surv)
+            lhs_red = sum(sum(_power(t - e, k) for e in etab[v]) for v in surv)
             lhs_blue = sum(math.prod(etab[v]) for v in surv)
-            thr_red = (t / 2.0) ** k * k * m_prime
-            thr_blue = (t / 2.0) ** k * m_prime
+            thr_red = _power(t / 2.0, k) * k * m_prime
+            thr_blue = _power(t / 2.0, k) * m_prime
             out(
                 f"dichotomy\tlhs_red={lhs_red:.6f}\tthr_red={thr_red:.6f}"
                 f"\tfired={'y' if lhs_red + _FUZZ >= thr_red else 'n'}"
@@ -854,6 +850,14 @@ def extract_book(
     # [:-1], not rstrip: a certificate with no pages keeps its trailing tab
     out("certificate\t" + emit_certificate(result)[:-1].replace("\n", "\t"))
     return result, ExtractionTrace(tuple(lines), tuple(records), best)
+
+
+def _power(base: float, k: int) -> float:
+    """base ** k, or inf past the largest double, where float ** int raises."""
+    try:
+        return base**k
+    except OverflowError:
+        return math.inf
 
 
 def _best_tuple(reduced, tuples, colour):

@@ -5,8 +5,8 @@ The CNF is satisfiable iff K_N has a red/blue edge colouring with no
 monochromatic book of spine size k and n pages.  Edge variables come first
 (true = blue); every k-set and colour gets a mono-spine indicator, page
 indicators, and a sequential-counter cardinality constraint conditioned on
-the indicator.  The header comments name each edge variable's edge, as
-``edge_index`` numbers them; ``decode_model`` decodes models through it.
+the indicator.  Edge variables number the pairs u < v lexicographically,
+the order of ``np.triu_indices``, and the header comments name each one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .colouring import BLUE, Colouring
+from .colouring import BLUE, RED, Colouring
 
 DEFAULT_CLAUSE_CAP = 2_000_000
 _CHUNK_LITERALS = 1 << 20  # literals formatted per pass of sat_export
@@ -29,17 +29,6 @@ class CnfSizeError(ValueError):
         super().__init__(f"estimated {estimate} clauses exceeds cap {cap}")
         self.estimate = estimate
         self.cap = cap
-
-
-def edge_index(size: int) -> dict[tuple[int, int], int]:
-    """Map each pair u < v to its 1-based edge variable."""
-    out = {}
-    t = 0
-    for u in range(size):
-        for v in range(u + 1, size):
-            t += 1
-            out[(u, v)] = t
-    return out
 
 
 def _sequential_counter_clauses(guard: int, xs: list[int], bound: int, next_var: int):
@@ -130,14 +119,14 @@ def sat_export(k: int, n: int, size: int, clause_cap: int = DEFAULT_CLAUSE_CAP) 
     estimate = estimate_clauses(k, n, size)
     if estimate > clause_cap:
         raise CnfSizeError(estimate, clause_cap)
-    evar = edge_index(size)
-    edges = len(evar)
+    upper = np.triu_indices(size, 1)
+    edges = upper[0].size
     out = [
         f"c book-avoidance instance: K_{size}, spine K_{k}, forbid {n} pages",
         "c edge variable true = blue, false = red",
         "c cardinality encoding: sequential counter, conditional on mono-spine indicator",
     ]
-    for (u, v), t in evar.items():
+    for t, (u, v) in enumerate(zip(upper[0].tolist(), upper[1].tolist()), 1):
         out.append(f"c edge {u + 1} {v + 1} -> var {t}")
     if k > size:
         out.append(f"p cnf {edges} 0")
@@ -150,7 +139,7 @@ def sat_export(k: int, n: int, size: int, clause_cap: int = DEFAULT_CLAUSE_CAP) 
 
     # edge variable of every edge column, one row per spine
     evmat = np.zeros((size, size), dtype=np.int64)
-    evmat[np.triu_indices(size, 1)] = np.arange(1, edges + 1)
+    evmat[upper] = np.arange(1, edges + 1)
     evmat += evmat.T
     outside = np.ones((spines.shape[0], size), dtype=bool)
     outside[np.arange(spines.shape[0])[:, None], spines] = False
@@ -186,12 +175,10 @@ def decode_model(size: int, model) -> Colouring:
     order; positive means blue.
     """
     truth = {abs(l): l > 0 for l in model}
-    evar = edge_index(size)
-
-    def colour_of(u: int, v: int) -> int:
-        return BLUE if truth.get(evar[(u, v)], False) else 0
-
-    return Colouring.from_edge_colours(size, 2, colour_of)
+    u, v = np.triu_indices(size, 1)
+    matrix = np.full((size, size), 2)  # the diagonal holds no colour
+    matrix[u, v] = matrix[v, u] = [BLUE if truth.get(t) else RED for t in range(1, u.size + 1)]
+    return Colouring.from_matrix(matrix, 2)
 
 
 SAT = "SAT"

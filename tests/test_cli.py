@@ -316,8 +316,10 @@ class TestConstructCommand:
 
         base = tmp_path / "base.knsc"
         base.write_text(emit_hypercolouring(search_hypergraph_base(5, 3, 4, seed=1)))
-        code, _ = run(["construct", "hblowup", "--base", str(base), "--n", "2", "--k", "10"])
-        assert code == EXIT_USAGE
+        # 10 is no multiple of the uniformity 3; 0 and -3 are, but no spine size
+        for k in ("10", "0", "-3"):
+            code, text = run(["construct", "hblowup", "--base", str(base), "--n", "2", "--k", k])
+            assert code == EXIT_USAGE and text == ""
 
 
 class TestSatExportCommand:
@@ -402,6 +404,18 @@ class TestLemmasCommand:
         code, text = run(["lemmas", "degprod", "--l", "3", "--k", "0", "--samples", "5"])
         assert code == EXIT_OK
         assert "violations\t0" in text
+
+    @pytest.mark.parametrize("k, t", [("2", "1.2e154"), ("2", "1.4e154"), ("5", "1e100")])
+    def test_powers_past_the_doubles_refused(self, k, t, capsys):
+        # t^k, or its k-fold sum in a sampled row, is no finite double
+        code, text = run(["lemmas", "dichotomy", "--k", k, "--t", t, "--samples", "10"])
+        assert code == EXIT_USAGE and text == ""
+        err = capsys.readouterr().err
+        assert "not a finite double" in err and err.count("\n") == 1
+
+    def test_large_finite_t_runs(self):
+        code, text = run(["lemmas", "dichotomy", "--k", "2", "--t", "1e153", "--samples", "10"])
+        assert code == EXIT_OK and "violations\t0" in text
 
     def test_lattices_past_the_cap_refused(self, capsys):
         for argv in (["degprod", "--l", "40", "--k", "3"], ["dichotomy", "--k", "30"]):
@@ -511,9 +525,11 @@ class TestPipelineCommand:
     def test_parameter_bounds_run(self, tmp_path):
         knc = tmp_path / "r.knc"
         knc.write_text(run(["construct", "random", "--N", "16", "--seed", "1"])[1])
-        for extra in (["--parts", "1", "--eta", "0", "--delta", "1"],
-                      ["--parts", "16", "--eta", "1", "--delta", "0"]):
-            code, text = run(["pipeline", "--input", str(knc), "--k", "1", "--steps", "3", *extra])
+        # k = 1100 puts 2^k past the largest double
+        for extra in (["--k", "1", "--parts", "1", "--eta", "0", "--delta", "1"],
+                      ["--k", "1", "--parts", "16", "--eta", "1", "--delta", "0"],
+                      ["--k", "1100", "--parts", "4"]):
+            code, text = run(["pipeline", "--input", str(knc), "--steps", "3", *extra])
             assert code == EXIT_OK and (text.startswith("BOOK") or text == "NOSPINE\n")
 
 

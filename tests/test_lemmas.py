@@ -218,7 +218,7 @@ class TestChunkedSampling:
         assert reports() == whole
 
     @pytest.mark.parametrize("case", ["ties", "nan", "all-nan", "inf"])
-    def test_worst_is_first_argmin_over_all_rows(self, case):
+    def test_worst_is_first_argmin_over_all_rows(self, case, monkeypatch):
         rng = np.random.default_rng(len(case))
         lhs = rng.integers(0, 3, 50).astype(np.float64)  # many tied minima
         if case == "nan":
@@ -228,12 +228,14 @@ class TestChunkedSampling:
         elif case == "inf":
             lhs[[8, 40]] = -np.inf
         points = np.arange(50, dtype=np.float64)[:, None]
-        blocks = (points[i : i + 7] for i in range(0, 50, 7))
-        rows, _, margin, witness = lemmas._scan_margins(
-            blocks, lambda pts: (lhs[pts[:, 0].astype(int)], 0.0), 1e-9
+        # no draws, so the 50 fixed rows are scored in blocks of 7
+        monkeypatch.setattr(lemmas, "CHUNK_ROWS", 7)
+        report = lemmas._certify(
+            "scan", None, 0, lambda: points, lambda pts: (lhs[pts[:, 0].astype(int)], 0.0), 1e-9
         )
+        margin = report.worst_margin
         at = int(np.argmin(lhs))
-        assert rows == 50 and witness == (float(at),)
+        assert report.samples == 50 and report.worst_witness == (float(at),)
         assert margin == lhs[at] or (math.isnan(margin) and math.isnan(lhs[at]))
 
     def test_memory_flat_in_samples(self):

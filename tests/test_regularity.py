@@ -1024,6 +1024,14 @@ class TestTransversalBestSpine:
         assert cert.spine == (0, 1)
         assert cert.page_count == 3
 
+    def test_parts_past_the_recursion_limit(self):
+        # 1,200 distinct parts, past Python's default limit of 1,000 frames,
+        # so the scan cannot nest one generator per part
+        n = 1500
+        col = Colouring.from_matrix(np.where(np.eye(n, dtype=bool), 2, 0), 2)
+        cert = transversal_best_spine(col, 0, [(v,) for v in range(1200)], [tuple(range(n))])
+        assert cert.spine == tuple(range(1200)) and cert.page_count == 300
+
     def test_averaging_identity_small(self):
         # sum of page counts over transversal spines equals the number of
         # (spine, page) configurations, counted independently from the
@@ -1269,6 +1277,14 @@ class TestFindBlowup:
         assert is_blowup(red.edge_colours, blow, 2, BLUE)
         blow = _find_blowup(red, verts, 2, 30, RED)
         assert blow is not None and is_blowup(red.edge_colours, blow, 2, RED)
+
+    def test_parts_past_the_recursion_limit(self):
+        # 1,100 singleton parts, past Python's default limit of 1,000 frames,
+        # so the search cannot nest one generator per part
+        m = 1200
+        states = tuple(tuple(None if i == j else BLUE for j in range(m)) for i in range(m))
+        blow = _find_blowup(reduced_of(states), list(range(m)), 1100, 3, BLUE)
+        assert blow == (1, tuple((v,) for v in range(1100)))
 
     def test_all_red_pool_is_peeled(self, monkeypatch):
         # no blue edge, so no vertex has the t blue neighbours a blow-up of

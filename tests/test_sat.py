@@ -14,7 +14,6 @@ from bookram.sat import (
     CnfSizeError,
     _sequential_counter_clauses,
     decode_model,
-    edge_index,
     estimate_clauses,
     parse_dimacs,
     sat_export,
@@ -22,6 +21,11 @@ from bookram.sat import (
 )
 from bookram.colouring import BLUE
 from bookram.search import FOUND, find_witness
+
+
+def edge_index(size):
+    """Each pair u < v to its 1-based edge variable, in lexicographic order."""
+    return {e: t for t, e in enumerate(itertools.combinations(range(size), 2), 1)}
 
 
 def reference_export(k, n, size):
