@@ -20,8 +20,9 @@ BLUE = 1
 
 #: Dense hypergraph colourings refuse to materialise more than this many edges.
 HYPER_ENTRY_CAP = 1 << 22
-#: Rows of an N-by-N matrix handled at a time where a whole-matrix temporary
-#: would cost N^2 bytes more: packing into bitmask rows and mirroring a draw.
+#: Rows of an N-by-N matrix that ``Colouring.from_matrix`` mirrors and packs
+#: into bitmask rows at a time, where a whole-matrix temporary would cost N^2
+#: bytes more.
 STRIP_ROWS = 256
 
 
@@ -66,26 +67,33 @@ class Colouring:
     @staticmethod
     def from_edge_colours(n: int, q: int, colour_of) -> "Colouring":
         """Build from a callable mapping each pair u < v to a colour."""
-        rows = [[0] * n for _ in range(q)]
+        matrix = np.empty((n, n), dtype=np.min_scalar_type(q))
         for u in range(n):
             for v in range(u + 1, n):
                 c = colour_of(u, v)
                 if not 0 <= c < q:
                     raise ValueError(f"colour {c} out of range for q={q}")
-                rows[c][u] |= 1 << v
-                rows[c][v] |= 1 << u
-        return Colouring(n, q, tuple(tuple(r) for r in rows))
+                matrix[u, v] = c
+        return Colouring.from_matrix(matrix, q)
 
     @staticmethod
     def from_matrix(matrix: np.ndarray, q: int) -> "Colouring":
-        """Build from a symmetric n-by-n matrix of colour indices: edge (u, v)
-        has colour ``matrix[u, v]``, and the diagonal holds no colour below q
-        (``matrix()`` puts q there).  No entry is checked; ``validate`` does
-        that.  Each colour's 0/1 comparison is made a row strip at a time."""
+        """Build from an n-by-n matrix of colour indices: edge (u, v), u < v,
+        has colour ``matrix[u, v]``, and nothing on or below the diagonal is
+        read.  No entry is checked; ``validate`` does that.  A strip of rows
+        at a time is copied, mirrored with q on its diagonal, and compared
+        with each colour."""
         n = len(matrix)
         rows = [[] for _ in range(q)]
+        dtype = np.result_type(matrix, np.min_scalar_type(q))
         for start in range(0, n, STRIP_ROWS):
-            strip = matrix[start : start + STRIP_ROWS]
+            stop = min(start + STRIP_ROWS, n)
+            strip = matrix[start:stop].astype(dtype)
+            strip[:, :start] = matrix[:start, start:stop].T
+            square = strip[:, start:stop]
+            below = np.tri(stop - start, k=-1, dtype=bool)
+            square[below] = square.T[below]
+            np.fill_diagonal(square, q)
             for c in range(q):
                 rows[c] += _pack_rows(strip == c)
         return Colouring(n, q, tuple(map(tuple, rows)))
@@ -242,12 +250,13 @@ def parse_colouring(text: str) -> Colouring:
     digits = _check_digits(rows, lines, q)
     if len(rows) != n - 1:
         raise FormatError(f"expected {n - 1} data rows, found {len(rows)}")
-    # the row-major upper triangle is exactly the KNC digit order (and the
-    # transpose's upper triangle the lower one)
-    matrix = np.full((n, n), q, dtype=np.uint8)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    matrix[upper] = digits
-    matrix.T[upper] = digits
+    # the row-major upper triangle is exactly the KNC digit order, and it is
+    # all that from_matrix reads
+    matrix = np.empty((n, n), dtype=np.uint8)
+    at = 0
+    for i in range(n - 1):
+        matrix[i, i + 1 :] = digits[at : at + n - 1 - i]
+        at += n - 1 - i
     return Colouring.from_matrix(matrix, q)
 
 

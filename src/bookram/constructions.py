@@ -15,13 +15,7 @@ from math import comb, isqrt
 import numpy as np
 
 from .books import max_book
-from .colouring import (
-    HYPER_ENTRY_CAP,
-    STRIP_ROWS,
-    BookCertificate,
-    Colouring,
-    HyperColouring,
-)
+from .colouring import HYPER_ENTRY_CAP, BookCertificate, Colouring, HyperColouring
 
 #: The colouring generators refuse to build more vertices than this.
 MAX_GENERATED_VERTICES = 1 << 14
@@ -49,11 +43,10 @@ def paley_colouring(p: int) -> Colouring:
         raise ValueError(f"{p} is not a prime congruent to 1 mod 4")
     square = np.zeros(p, dtype=bool)
     square[np.arange(1, p, dtype=np.int64) ** 2 % p] = True
-    # colour of every difference d = v - u over two periods, 2 (no colour) at d = 0
-    colours = np.tile(np.where(square, 0, 1).astype(np.uint8), 2)
-    colours[[0, p]] = 2
-    # row u is colours[p - u : 2p - u], the window starting at p - u; a view,
-    # so the N-by-N matrix is never built
+    # colour of every difference d = v - u over two periods (1, blue, for the
+    # non-squares); row u is colours[p - u : 2p - u], the window starting at
+    # p - u, a view, so the N-by-N matrix is never built
+    colours = np.tile(~square, 2)
     windows = np.lib.stride_tricks.sliding_window_view(colours, p)
     return Colouring.from_matrix(windows[p:0:-1], 2)
 
@@ -64,17 +57,9 @@ def random_colouring(size: int, seed: int) -> Colouring:
     if not 1 <= size <= MAX_GENERATED_VERTICES:
         raise ValueError(f"vertex count must lie in 1..{MAX_GENERATED_VERTICES}, got {size}")
     rng = np.random.default_rng(seed)
-    # the upper triangle of one draw holds the colours; it is mirrored in
-    # place a strip of rows at a time (numpy buffers only the strip's overlap
-    # with its transpose), so the draw is the one N-by-N array
-    matrix = rng.integers(0, 2, size=(size, size), dtype=np.uint8)
-    for v in range(size):
-        matrix[v, : v + 1] = 0
-    for start in range(0, size, STRIP_ROWS):
-        stop = min(start + STRIP_ROWS, size)
-        matrix[start:stop, :stop] |= matrix[:stop, start:stop].T
-    np.fill_diagonal(matrix, 2)
-    return Colouring.from_matrix(matrix, 2)
+    # edge (u, v), u < v, takes the draw's entry in row u, column v, so the
+    # draw is the one N-by-N array
+    return Colouring.from_matrix(rng.integers(0, 2, size=(size, size), dtype=np.uint8), 2)
 
 
 def multicolour_blowup(base: Colouring, part_size: int) -> Colouring:
@@ -89,12 +74,10 @@ def multicolour_blowup(base: Colouring, part_size: int) -> Colouring:
     total, q_out = base.n * part_size, base.q + 1
     if total > MAX_GENERATED_VERTICES:
         raise ValueError(f"blow-up has {total} vertices, above the cap of {MAX_GENERATED_VERTICES}")
-    # the template's colours with the fresh one on its diagonal, blown up;
-    # the diagonal of the result gets q_out, which no colour matches
+    # the template's colours with the fresh one, base.q, on its diagonal,
+    # blown up, so that edges inside a block take the fresh colour
     template = base.matrix().astype(np.min_scalar_type(q_out), copy=False)
-    matrix = template.repeat(part_size, 0).repeat(part_size, 1)
-    np.fill_diagonal(matrix, q_out)
-    return Colouring.from_matrix(matrix, q_out)
+    return Colouring.from_matrix(template.repeat(part_size, 0).repeat(part_size, 1), q_out)
 
 
 @dataclass(frozen=True)

@@ -176,8 +176,8 @@ def decode_model(size: int, model) -> Colouring:
     """
     truth = {abs(l): l > 0 for l in model}
     u, v = np.triu_indices(size, 1)
-    matrix = np.full((size, size), 2)  # the diagonal holds no colour
-    matrix[u, v] = matrix[v, u] = [BLUE if truth.get(t) else RED for t in range(1, u.size + 1)]
+    matrix = np.empty((size, size), dtype=np.uint8)  # from_matrix reads the upper triangle
+    matrix[u, v] = [BLUE if truth.get(t) else RED for t in range(1, u.size + 1)]
     return Colouring.from_matrix(matrix, 2)
 
 

@@ -1,6 +1,7 @@
 """Core data model: KNC/KNSC/BOOK parsing, clique and page primitives."""
 
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -122,6 +123,19 @@ class TestParseColouring:
         assert col == Colouring.from_edge_colours(n, q, lambda u, v: int(rows[u][v - u - 1]))
         assert emit_colouring(col) == "\n".join(lines) + "\n"
 
+    def test_peak_memory_below_four_matrices(self):
+        # the digits fill the upper triangle of one n-by-n matrix row by row,
+        # and no other n-by-n array is built beside it
+        n = 2048
+        text = emit_colouring(random_colouring(n, 1))
+        tracemalloc.start()
+        try:
+            parse_colouring(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n
+
     def test_validate_rejects_asymmetric(self):
         col = all_one_colour(3)
         adj = [list(col.adj[0]), list(col.adj[1])]
@@ -163,6 +177,13 @@ class TestDenseForm:
         assert matrix.shape == (n, n) and (matrix == want).all()
         assert Colouring.from_matrix(want, q) == col
         assert Colouring.from_matrix(matrix, q) == col
+        # only the strict upper triangle is read: arbitrary values on and
+        # below the diagonal change nothing
+        noise = np.random.default_rng(n + q).integers(0, 256, (n, n), dtype=np.uint8)
+        scrambled = np.where(np.triu(np.ones((n, n), dtype=bool), 1), table, noise)
+        assert Colouring.from_matrix(scrambled, q) == col
+        # a bool matrix holds no q = 2 for the diagonal, and needs none
+        Colouring.from_matrix(np.ones((n, n), dtype=bool), 2).validate()
         for c in range(q):
             dense = col.dense(c)
             assert dense.dtype == np.uint8
